@@ -1,23 +1,23 @@
-//! Pipelined-committer A/B bench: quantifies, in deterministic virtual-time
-//! cost units, how much committer stall the ticketed pipeline driver
-//! removes versus the lock-step round barrier — while proving the two
-//! drivers are observably identical (byte-identical trace hashes).
+//! Committer-stall bench: quantifies, in deterministic virtual-time cost
+//! units, how much committer stall the engine's streaming in-order
+//! committer removes versus the lock-step round barrier. Both figures come
+//! from the alter-sim stall model ([`alter_sim::round_stall`]) over the
+//! rounds of one run: the barrier is the depth-1 case of the same in-order
+//! commit, so one trace prices both disciplines.
 //!
-//! Three scenarios at N=8 workers:
+//! Three scenarios at N=8 workers, each run on the persistent worker pool:
 //!
 //! * **skewed-chunk** — a synthetic one-round loop whose last lane carries
 //!   almost all the execute cost. Under the barrier the committer idles for
-//!   the slowest lane before retiring anything; pipelined, it retires the
+//!   the slowest lane before retiring anything; streaming, it retires the
 //!   seven cheap tickets while the heavy lane is still running. The bench
 //!   *asserts* a ≥ 2× stall reduction here (the ratio is ~8× in practice).
 //! * **genome** and **labyrinth** — the two Table 2 workloads with the most
 //!   uneven per-chunk work, under their best annotations.
 //!
-//! For every scenario the bench also asserts: pipeline depth 1 reproduces
-//! the barrier run's `RunStats` field for field (the degenerate case), the
-//! phase-cost ledger is invariant across drivers (the pipeline only moves
-//! *waiting*, never work), and `tickets_issued + tickets_requeued ==
-//! attempts`.
+//! For every scenario the bench also asserts that streaming never stalls
+//! the committer or idles a lane longer than the barrier, and that
+//! `tickets_issued + tickets_requeued == attempts`.
 //!
 //! Everything in the `--json` summary is a deterministic counter, so
 //! `scripts/bench.sh` merges it into the checked-in `BENCH_runtime.json`.
@@ -26,6 +26,7 @@
 
 use alter_heap::{Heap, ObjData};
 use alter_runtime::{Driver, ExecParams, LoopBuilder, RunStats};
+use alter_sim::{CostModel, SimObserver, StallModel};
 use alter_trace::{format_hash, trace_hash, Recorder, RingRecorder};
 use alter_workloads::{find_benchmark, Benchmark};
 use std::fmt::Write as _;
@@ -40,22 +41,21 @@ const SPAN: usize = 512;
 /// Declared work units of the synthetic heavy lane.
 const HEAVY_WORK: u64 = 4000;
 
-/// One measured scenario: barrier and pipelined runs of the same loop.
+/// One measured scenario: a single run, priced under both disciplines.
 struct Measured {
     name: &'static str,
     config: String,
-    rounds: u64,
     trace_hash: u64,
-    barrier: RunStats,
-    pipelined: RunStats,
+    stats: RunStats,
+    stall: StallModel,
     /// Informational wall-clock (ms, best of 3) when ALTER_BENCH_WALL=1.
-    wall_ms: Option<(f64, f64)>,
+    wall_ms: Option<f64>,
 }
 
 impl Measured {
     fn stall_reduction(&self) -> f64 {
-        self.barrier.committer_stall_units as f64
-            / self.pipelined.committer_stall_units.max(1) as f64
+        self.stall.barrier.committer_stall_units as f64
+            / self.stall.streaming.committer_stall_units.max(1) as f64
     }
 }
 
@@ -66,25 +66,22 @@ fn wall_requested() -> bool {
 /// The synthetic skewed-chunk loop: 8 single-iteration chunks in one round,
 /// lanes 0..=6 each write a private 512-word span, lane 7 additionally
 /// declares 4000 work units — the straggler the barrier waits for.
-fn skewed_params(pipelined: bool, depth: usize) -> ExecParams {
-    ExecParams::from_annotation(
+fn run_skewed(recorder: Option<Arc<dyn Recorder>>) -> (RunStats, StallModel) {
+    let mut params = ExecParams::from_annotation(
         &"[StaleReads]".parse().expect("static annotation"),
         WORKERS,
         1,
-    )
-    .with_pipelined(pipelined)
-    .with_pipeline_depth(depth)
-}
-
-fn run_skewed(pipelined: bool, depth: usize, recorder: Option<Arc<dyn Recorder>>) -> RunStats {
-    let mut params = skewed_params(pipelined, depth);
+    );
     if let Some(rec) = recorder {
         params = params.with_recorder(rec);
     }
     let mut heap = Heap::new();
     let xs = heap.alloc(ObjData::zeros_f64(WORKERS * SPAN));
-    LoopBuilder::new(&params)
+    let model = CostModel::default();
+    let mut obs = SimObserver::new(&model, WORKERS);
+    let stats = LoopBuilder::new(&params)
         .range(0, WORKERS as u64)
+        .observer(&mut obs)
         .run(&mut heap, Driver::threaded(), |ctx, i| {
             if i as usize == WORKERS - 1 {
                 ctx.tx.work(HEAVY_WORK);
@@ -94,142 +91,87 @@ fn run_skewed(pipelined: bool, depth: usize, recorder: Option<Arc<dyn Recorder>>
                     .write_f64(xs, i as usize * SPAN + w, (i as usize * SPAN + w) as f64);
             }
         })
-        .expect("skewed-chunk loop must complete")
+        .expect("skewed-chunk loop must complete");
+    (stats, obs.into_clock().stall)
 }
 
-/// Traced run of the synthetic loop; returns stats and the trace hash.
-fn recorded_skewed(pipelined: bool, depth: usize) -> (RunStats, u64) {
-    let rec = Arc::new(RingRecorder::default());
-    let stats = run_skewed(pipelined, depth, Some(rec.clone() as Arc<dyn Recorder>));
-    assert_eq!(rec.dropped(), 0, "ring must hold the whole trace");
-    (stats, trace_hash(&rec.events()))
-}
-
-/// Best-of-3 wall time of one recorder-free synthetic run, in ms.
-fn time_skewed(pipelined: bool, depth: usize) -> f64 {
-    black_box(run_skewed(pipelined, depth, None));
+/// Best-of-3 wall time of `run`, in ms.
+fn best_of_3(mut run: impl FnMut()) -> f64 {
+    run();
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let start = Instant::now();
-        black_box(run_skewed(pipelined, depth, None));
+        run();
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
     }
     best
 }
 
 fn measure_skewed() -> Measured {
-    let (barrier, hash_barrier) = recorded_skewed(false, 1);
-    let (depth1, hash_depth1) = recorded_skewed(true, 1);
-    let (pipelined, hash_pipe) = recorded_skewed(true, 4);
-    check_pair("skewed-chunk", &barrier, &depth1, &pipelined);
-    assert_eq!(
-        hash_barrier, hash_depth1,
-        "skewed-chunk: depth-1 trace moved"
-    );
-    assert_eq!(
-        hash_barrier, hash_pipe,
-        "skewed-chunk: pipelined trace moved"
-    );
-    let wall_ms = wall_requested().then(|| (time_skewed(false, 1), time_skewed(true, 4)));
+    let rec = Arc::new(RingRecorder::default());
+    let (stats, stall) = run_skewed(Some(rec.clone() as Arc<dyn Recorder>));
+    assert_eq!(rec.dropped(), 0, "ring must hold the whole trace");
+    let wall_ms = wall_requested().then(|| {
+        best_of_3(|| {
+            black_box(run_skewed(None));
+        })
+    });
     Measured {
         name: "skewed-chunk",
         config: format!("[StaleReads] synthetic, heavy lane {HEAVY_WORK} work units"),
-        rounds: barrier.rounds,
-        trace_hash: hash_barrier,
-        barrier,
-        pipelined,
+        trace_hash: trace_hash(&rec.events()),
+        stats,
+        stall,
         wall_ms,
     }
-}
-
-/// Traced workload run under its best annotation on the threaded pool.
-fn recorded_workload(bench: &dyn Benchmark, pipelined: bool, depth: usize) -> (RunStats, u64) {
-    let rec = Arc::new(RingRecorder::default());
-    let mut probe = bench.best_probe(WORKERS);
-    probe.threaded = true;
-    probe.pipelined = pipelined;
-    probe.pipeline_depth = depth;
-    probe.recorder = Some(rec.clone() as Arc<dyn Recorder>);
-    let run = bench.run_probe(&probe).expect("probe must complete");
-    assert_eq!(rec.dropped(), 0, "ring must hold the whole trace");
-    (run.stats, trace_hash(&rec.events()))
-}
-
-/// Best-of-3 wall time of one recorder-free workload run, in ms.
-fn time_workload(bench: &dyn Benchmark, pipelined: bool, depth: usize) -> f64 {
-    let mut probe = bench.best_probe(WORKERS);
-    probe.threaded = true;
-    probe.pipelined = pipelined;
-    probe.pipeline_depth = depth;
-    black_box(bench.run_probe(&probe).expect("warm-up must complete"));
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        black_box(bench.run_probe(&probe).expect("probe must complete"));
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-/// The cross-driver invariants every scenario must satisfy.
-fn check_pair(name: &str, barrier: &RunStats, depth1: &RunStats, pipelined: &RunStats) {
-    assert_eq!(
-        barrier, depth1,
-        "{name}: pipeline depth 1 must reproduce the barrier run field for field"
-    );
-    assert_eq!(
-        barrier.modulo_drive_mode(),
-        pipelined.modulo_drive_mode(),
-        "{name}: pipelining may only move masked telemetry"
-    );
-    assert_eq!(
-        barrier.phase_costs, pipelined.phase_costs,
-        "{name}: the phase-cost ledger is driver-invariant — the pipeline moves waiting, not work"
-    );
-    for (tag, s) in [("barrier", barrier), ("pipelined", pipelined)] {
-        assert_eq!(
-            s.tickets_issued + s.tickets_requeued,
-            s.attempts,
-            "{name}/{tag}: every attempt is an issued or re-queued ticket"
-        );
-    }
-    assert!(
-        pipelined.committer_stall_units <= barrier.committer_stall_units,
-        "{name}: in-order streaming can never stall the committer longer than the barrier \
-         ({} vs {})",
-        pipelined.committer_stall_units,
-        barrier.committer_stall_units
-    );
 }
 
 fn measure_workload(name: &'static str, bench: &dyn Benchmark) -> Measured {
-    let (barrier, hash_barrier) = recorded_workload(bench, false, 1);
-    let (depth1, hash_depth1) = recorded_workload(bench, true, 1);
-    let (pipelined, hash_pipe) = recorded_workload(bench, true, 4);
-    check_pair(name, &barrier, &depth1, &pipelined);
-    assert_eq!(hash_barrier, hash_depth1, "{name}: depth-1 trace moved");
-    assert_eq!(hash_barrier, hash_pipe, "{name}: pipelined trace moved");
-    let probe = bench.best_probe(WORKERS);
+    let mut probe = bench.best_probe(WORKERS);
+    probe.threaded = true;
+    let config = format!("[{}] cf={}", probe.describe(), probe.chunk);
     let wall_ms = wall_requested().then(|| {
-        (
-            time_workload(bench, false, 1),
-            time_workload(bench, true, 4),
-        )
+        best_of_3(|| {
+            black_box(bench.run_probe(&probe).expect("probe must complete"));
+        })
     });
+    let rec = Arc::new(RingRecorder::default());
+    probe.recorder = Some(rec.clone() as Arc<dyn Recorder>);
+    let run = bench.run_probe(&probe).expect("probe must complete");
+    assert_eq!(rec.dropped(), 0, "ring must hold the whole trace");
     Measured {
         name,
-        config: format!("[{}] cf={}", probe.describe(), probe.chunk),
-        rounds: barrier.rounds,
-        trace_hash: hash_barrier,
-        barrier,
-        pipelined,
+        config,
+        trace_hash: trace_hash(&rec.events()),
+        stats: run.stats,
+        stall: run.clock.stall,
         wall_ms,
     }
+}
+
+/// The invariants every scenario must satisfy.
+fn check(m: &Measured) {
+    let (name, s) = (m.name, &m.stats);
+    assert_eq!(
+        s.tickets_issued + s.tickets_requeued,
+        s.attempts,
+        "{name}: every attempt is an issued or re-queued ticket"
+    );
+    assert_eq!(
+        s.pool_round_handoffs, s.rounds,
+        "{name}: the pool drives every round"
+    );
+    let (b, p) = (m.stall.barrier, m.stall.streaming);
+    assert!(
+        p.committer_stall_units <= b.committer_stall_units
+            && p.worker_idle_units <= b.worker_idle_units,
+        "{name}: in-order streaming can never wait longer than the barrier ({p:?} vs {b:?})"
+    );
 }
 
 fn print_row(m: &Measured) {
     let wall = match m.wall_ms {
-        Some((b, p)) => format!("; wall {b:.1} ms -> {p:.1} ms"),
+        Some(ms) => format!("; wall {ms:.1} ms"),
         None => String::new(),
     };
     println!(
@@ -237,39 +179,40 @@ fn print_row(m: &Measured) {
          worker idle {} -> {}; trace hash {}{wall}",
         m.name,
         m.config,
-        m.barrier.committer_stall_units,
-        m.pipelined.committer_stall_units,
+        m.stall.barrier.committer_stall_units,
+        m.stall.streaming.committer_stall_units,
         m.stall_reduction(),
-        m.rounds,
-        m.barrier.worker_idle_units,
-        m.pipelined.worker_idle_units,
+        m.stats.rounds,
+        m.stall.barrier.worker_idle_units,
+        m.stall.streaming.worker_idle_units,
         format_hash(m.trace_hash),
     );
 }
 
 /// Renders the deterministic summary as pretty-printed JSON (hand-rolled;
 /// the workspace builds without `serde`). Counters only — wall-clock never
-/// appears here, which is what makes the merged file drift-checkable.
+/// appears here, which is what makes the merged file drift-checkable. The
+/// `*_pipelined` keys name the streaming committer.
 fn to_json(rows: &[Measured]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"workers\": {WORKERS},");
-    let _ = writeln!(out, "  \"pipeline_depth\": 4,");
     let _ = writeln!(out, "  \"scenarios\": [");
     for (i, m) in rows.iter().enumerate() {
+        let (b, p) = (m.stall.barrier, m.stall.streaming);
         let _ = writeln!(out, "    {{");
         let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
         let _ = writeln!(out, "      \"config\": \"{}\",", m.config);
-        let _ = writeln!(out, "      \"rounds\": {},", m.rounds);
+        let _ = writeln!(out, "      \"rounds\": {},", m.stats.rounds);
         let _ = writeln!(
             out,
             "      \"committer_stall_units_barrier\": {},",
-            m.barrier.committer_stall_units
+            b.committer_stall_units
         );
         let _ = writeln!(
             out,
             "      \"committer_stall_units_pipelined\": {},",
-            m.pipelined.committer_stall_units
+            p.committer_stall_units
         );
         let _ = writeln!(
             out,
@@ -279,22 +222,18 @@ fn to_json(rows: &[Measured]) -> String {
         let _ = writeln!(
             out,
             "      \"worker_idle_units_barrier\": {},",
-            m.barrier.worker_idle_units
+            b.worker_idle_units
         );
         let _ = writeln!(
             out,
             "      \"worker_idle_units_pipelined\": {},",
-            m.pipelined.worker_idle_units
+            p.worker_idle_units
         );
-        let _ = writeln!(
-            out,
-            "      \"tickets_issued\": {},",
-            m.pipelined.tickets_issued
-        );
+        let _ = writeln!(out, "      \"tickets_issued\": {},", m.stats.tickets_issued);
         let _ = writeln!(
             out,
             "      \"tickets_requeued\": {},",
-            m.pipelined.tickets_requeued
+            m.stats.tickets_requeued
         );
         let _ = writeln!(
             out,
@@ -334,19 +273,20 @@ fn main() {
         measure_workload("labyrinth", labyrinth.as_ref()),
     ];
     for m in &rows {
+        check(m);
         print_row(m);
     }
 
     // The headline claim, checked on every run: on the skewed-chunk
-    // scenario the pipelined committer must shed at least 2× the stall the
+    // scenario the streaming committer must shed at least 2× the stall the
     // barrier pays for its straggler lane.
     let skewed = &rows[0];
     assert!(
         skewed.stall_reduction() >= 2.0,
-        "skewed-chunk: committer stall only cut {:.2}x: {} (barrier) vs {} (pipelined)",
+        "skewed-chunk: committer stall only cut {:.2}x: {} (barrier) vs {} (streaming)",
         skewed.stall_reduction(),
-        skewed.barrier.committer_stall_units,
-        skewed.pipelined.committer_stall_units
+        skewed.stall.barrier.committer_stall_units,
+        skewed.stall.streaming.committer_stall_units
     );
     println!(
         "skewed-chunk committer-stall reduction: {:.1}x",

@@ -1,9 +1,10 @@
 //! Microbenchmark of the per-round overhead machinery: for each measured
-//! workload, runs the paper's best configuration at 8 workers under all
-//! four combinations of {incremental, full} snapshots × {persistent pool,
-//! scoped spawn-per-round} threading, asserts the four trace hashes are
-//! identical (both optimizations are forbidden from being observable), and
-//! reports the deterministic snapshot-economics counters side by side.
+//! workload, runs the paper's best configuration at 8 workers on the
+//! persistent worker pool and reports the deterministic snapshot-economics
+//! counters. The slots a full rebuild would copy every round are the
+//! phase ledger's snapshot charge ([`alter_runtime::PhaseCosts::snapshot`],
+//! one per slot per round), so the `snapshot_slots_copied_full` column is
+//! derived from the same run as the incremental figure.
 //!
 //! Everything asserted and emitted here is deterministic (counters, not
 //! wall-clock), so the JSON summary written by `--json <path>` is stable
@@ -11,9 +12,9 @@
 //! into `BENCH_runtime.json`). Wall-clock timings are printed for
 //! orientation but never enter the JSON.
 //!
-//! The run doubles as an acceptance check: it fails if any config's trace
-//! hash diverges, or if incremental snapshots do not cut
-//! `snapshot_slots_copied` at least 5× on Genome and K-means.
+//! The run doubles as an acceptance check: it fails if the pool does not
+//! drive every round, or if incremental snapshots do not cut the slots
+//! copied at least 5× on Genome and K-means.
 
 use alter_infer::Probe;
 use alter_runtime::RunStats;
@@ -36,23 +37,26 @@ struct Measured {
     chunk: usize,
     rounds: u64,
     trace_hash: u64,
-    incremental: RunStats,
-    full: RunStats,
+    stats: RunStats,
 }
 
-/// Runs `bench` under `probe` with a fresh recorder; returns run stats and
-/// the trace hash.
-fn recorded_run(
-    bench: &dyn Benchmark,
-    probe: &Probe,
-    incremental: bool,
-    worker_pool: bool,
-) -> (RunStats, u64) {
+impl Measured {
+    /// Slots a full page-table rebuild would copy over the run.
+    fn full_slots(&self) -> u64 {
+        self.stats.phase_costs.snapshot
+    }
+
+    fn reduction(&self) -> f64 {
+        self.full_slots() as f64 / self.stats.snapshot_slots_copied.max(1) as f64
+    }
+}
+
+/// Runs `bench` under `probe` on the worker pool with a fresh recorder;
+/// returns run stats and the trace hash.
+fn recorded_run(bench: &dyn Benchmark, probe: &Probe) -> (RunStats, u64) {
     let rec = Arc::new(RingRecorder::default());
     let mut probe = probe.clone();
     probe.threaded = true;
-    probe.incremental_snapshots = incremental;
-    probe.worker_pool = worker_pool;
     probe.recorder = Some(rec.clone() as Arc<dyn Recorder>);
     let run = bench.run_probe(&probe).expect("probe must complete");
     assert_eq!(rec.dropped(), 0, "ring must hold the whole trace");
@@ -60,11 +64,9 @@ fn recorded_run(
 }
 
 /// Best-of-5 wall time of one recorder-free probe run, in milliseconds.
-fn time_run(bench: &dyn Benchmark, probe: &Probe, incremental: bool, worker_pool: bool) -> f64 {
+fn time_run(bench: &dyn Benchmark, probe: &Probe) -> f64 {
     let mut probe = probe.clone();
     probe.threaded = true;
-    probe.incremental_snapshots = incremental;
-    probe.worker_pool = worker_pool;
     black_box(bench.run_probe(&probe).expect("warm-up must complete"));
     let mut best = f64::INFINITY;
     for _ in 0..5 {
@@ -75,62 +77,34 @@ fn time_run(bench: &dyn Benchmark, probe: &Probe, incremental: bool, worker_pool
     best
 }
 
-/// Measures one workload under its best annotation across the four
-/// round-machinery configs.
+/// Measures one workload under its best annotation.
 fn measure(name: &'static str, bench: &dyn Benchmark) -> Measured {
     let probe = bench.best_probe(WORKERS);
-    let (incremental, hash_ip) = recorded_run(bench, &probe, true, true);
-    let (full, hash_fp) = recorded_run(bench, &probe, false, true);
-    let (incr_scoped, hash_is) = recorded_run(bench, &probe, true, false);
-    let (full_scoped, hash_fs) = recorded_run(bench, &probe, false, false);
-
-    for (tag, hash) in [
-        ("full+pool", hash_fp),
-        ("incr+scoped", hash_is),
-        ("full+scoped", hash_fs),
-    ] {
-        assert_eq!(
-            hash_ip, hash,
-            "{name}: {tag} changed the trace — the optimization is not allowed to be visible"
-        );
-    }
-    assert_eq!(incremental.committed, full.committed);
-    assert_eq!(incremental.cost_units(), full.cost_units());
-    assert_eq!(incremental.rounds, full.rounds);
-    // Snapshot economics are a property of the heap's dirty pattern, not of
-    // the drive mode; only pool bookkeeping may differ between pool/scoped.
+    let (stats, trace_hash) = recorded_run(bench, &probe);
     assert_eq!(
-        incremental.modulo_drive_mode(),
-        incr_scoped.modulo_drive_mode()
-    );
-    assert_eq!(full.modulo_drive_mode(), full_scoped.modulo_drive_mode());
-    assert_eq!(
-        incremental.pool_round_handoffs, incremental.rounds,
+        stats.pool_round_handoffs, stats.rounds,
         "{name}: one pool handoff per round"
     );
-    assert_eq!(incr_scoped.pool_round_handoffs, 0);
 
-    let ms_full = time_run(bench, &probe, false, false);
-    let ms_incr = time_run(bench, &probe, true, true);
+    let ms = time_run(bench, &probe);
     println!(
-        "{name:<10} [{}] cf={} N={WORKERS}: snapshot slots {} -> {} over {} rounds \
-         (pages reused {}); {ms_full:.1} ms -> {ms_incr:.1} ms",
+        "{name:<10} [{}] cf={} N={WORKERS}: snapshot slots {} (full rebuild) -> {} over {} \
+         rounds (pages reused {}); {ms:.1} ms",
         probe.describe(),
         probe.chunk,
-        full.snapshot_slots_copied,
-        incremental.snapshot_slots_copied,
-        incremental.rounds,
-        incremental.snapshot_pages_reused,
+        stats.phase_costs.snapshot,
+        stats.snapshot_slots_copied,
+        stats.rounds,
+        stats.snapshot_pages_reused,
     );
 
     Measured {
         name,
         annotation: probe.describe(),
         chunk: probe.chunk,
-        rounds: incremental.rounds,
-        trace_hash: hash_ip,
-        incremental,
-        full,
+        rounds: stats.rounds,
+        trace_hash,
+        stats,
     }
 }
 
@@ -142,8 +116,6 @@ fn to_json(rows: &[Measured]) -> String {
     let _ = writeln!(out, "  \"workers\": {WORKERS},");
     let _ = writeln!(out, "  \"workloads\": [");
     for (i, m) in rows.iter().enumerate() {
-        let reduction =
-            m.full.snapshot_slots_copied as f64 / m.incremental.snapshot_slots_copied.max(1) as f64;
         let _ = writeln!(out, "    {{");
         let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
         let _ = writeln!(out, "      \"annotation\": \"{}\",", m.annotation);
@@ -152,23 +124,23 @@ fn to_json(rows: &[Measured]) -> String {
         let _ = writeln!(
             out,
             "      \"snapshot_slots_copied_full\": {},",
-            m.full.snapshot_slots_copied
+            m.full_slots()
         );
         let _ = writeln!(
             out,
             "      \"snapshot_slots_copied_incremental\": {},",
-            m.incremental.snapshot_slots_copied
+            m.stats.snapshot_slots_copied
         );
         let _ = writeln!(
             out,
             "      \"snapshot_pages_reused\": {},",
-            m.incremental.snapshot_pages_reused
+            m.stats.snapshot_pages_reused
         );
-        let _ = writeln!(out, "      \"snapshot_reduction_x\": {reduction:.2},");
+        let _ = writeln!(out, "      \"snapshot_reduction_x\": {:.2},", m.reduction());
         let _ = writeln!(
             out,
             "      \"pool_round_handoffs\": {},",
-            m.incremental.pool_round_handoffs
+            m.stats.pool_round_handoffs
         );
         let _ = writeln!(
             out,
@@ -207,14 +179,13 @@ fn main() {
     // The headline claim, checked on every run: incremental snapshots must
     // cut the slots copied per run at least 5× on both workloads.
     for m in &rows {
-        let reduction =
-            m.full.snapshot_slots_copied as f64 / m.incremental.snapshot_slots_copied.max(1) as f64;
+        let reduction = m.reduction();
         assert!(
             reduction >= 5.0,
             "{}: snapshot_slots_copied only cut {reduction:.2}x: {} (full) vs {} (incremental)",
             m.name,
-            m.full.snapshot_slots_copied,
-            m.incremental.snapshot_slots_copied
+            m.full_slots(),
+            m.stats.snapshot_slots_copied
         );
         println!("{} snapshot-copy reduction: {reduction:.1}x", m.name);
     }

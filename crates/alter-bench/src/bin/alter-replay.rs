@@ -22,6 +22,7 @@
 //! extra report column but never enter journals, trace hashes, or
 //! `PROFILE.json`.
 
+use alter_heap::normalize_shards;
 use alter_infer::{Model, Probe};
 use alter_runtime::replay::{diverge_bisect, ReplayOutcome};
 use alter_trace::{
@@ -44,11 +45,10 @@ commands:
         --workers N  worker count (default 4)
         --sets       record per-task access sets (task_sets events)
         --profile    record per-round phase_profile cost-unit events
-        --pipeline   drive the run with the ticketed pipeline committer
-        --pipeline-depth N  committer lookahead (default 4; 1 = barrier)
         --shards N   heap shard count (default 1; rounded up to a power
-                     of two, capped at 16 — traces are identical at every
-                     count, so this is a perf knob the journal preserves)
+                     of two, capped at 16, and journaled as normalized —
+                     traces are identical at every count, so this is a
+                     perf knob the journal preserves)
   replay <journal>
       re-execute the journal's workload under its recorded configuration
       and verify the fresh event stream is byte-identical; on mismatch,
@@ -111,12 +111,9 @@ struct RecordArgs {
     workers: usize,
     sets: bool,
     profile: bool,
-    /// 0 = lock-step; n ≥ 1 = pipelined driver with committer lookahead n
-    /// (the journal-header encoding, so a recorded run replays under the
-    /// exact driver it was captured with).
-    pipeline_depth: u32,
-    /// Heap shard count (journal-header encoding; 1 = the unsharded heap).
-    shards: u32,
+    /// Heap shard count, normalized as the heap will run it (1 = the
+    /// unsharded heap).
+    shards: usize,
 }
 
 /// Shared positional/flag parser for `record` and `profile`.
@@ -129,9 +126,7 @@ fn parse_run_args(args: &[String]) -> Result<(RecordArgs, bool, Option<String>),
     let mut profile = false;
     let mut folded = false;
     let mut json = None;
-    let mut pipeline = false;
-    let mut pipeline_depth = 4u32;
-    let mut shards = 1u32;
+    let mut shards = 1usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -142,21 +137,12 @@ fn parse_run_args(args: &[String]) -> Result<(RecordArgs, bool, Option<String>),
                     .ok_or("--workers needs a positive integer")?
                     .max(1);
             }
-            "--pipeline" => pipeline = true,
-            "--pipeline-depth" => {
-                pipeline_depth = it
-                    .next()
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .ok_or("--pipeline-depth needs a positive integer")?
-                    .max(1);
-                pipeline = true;
-            }
             "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .ok_or("--shards needs a positive integer")?
-                    .max(1);
+                shards = normalize_shards(
+                    it.next()
+                        .and_then(|v| v.parse::<usize>().ok())
+                        .ok_or("--shards needs a positive integer")?,
+                );
             }
             "--out" | "--json" => {
                 let v = it.next().ok_or(format!("{a} needs a file path"))?.clone();
@@ -186,7 +172,6 @@ fn parse_run_args(args: &[String]) -> Result<(RecordArgs, bool, Option<String>),
             workers,
             sets,
             profile,
-            pipeline_depth: if pipeline { pipeline_depth } else { 0 },
             shards,
         },
         folded,
@@ -201,9 +186,7 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
         .ok_or(format!("unknown annotation `{}`", a.annotation))?;
     probe.record_sets = a.sets;
     probe.profile_phases = a.profile;
-    probe.pipelined = a.pipeline_depth > 0;
-    probe.pipeline_depth = a.pipeline_depth.max(1) as usize;
-    probe.shards = a.shards.max(1) as usize;
+    probe.shards = a.shards;
 
     let (events, verdict) = record_events(bench.as_ref(), &probe);
     if let Err(e) = &verdict {
@@ -216,8 +199,10 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
         workers: a.workers as u32,
         record_sets: a.sets,
         profile_phases: a.profile,
-        pipeline_depth: a.pipeline_depth,
-        shards: a.shards,
+        // Every driver produces the same trace, so the header's driver
+        // field is always written as the lock-step value.
+        pipeline_depth: 0,
+        shards: a.shards as u32,
         trace_hash: 0, // recomputed by Journal::new
     };
     let journal = Journal::new(header, events)?;
@@ -226,10 +211,11 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| format!("{}.journal", journal.header().workload));
     std::fs::write(&path, journal.to_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
     println!(
-        "recorded {} under [{}], {} worker(s): {} event(s), {} round(s), trace hash {}",
+        "recorded {} under [{}], {} worker(s), {} shard(s): {} event(s), {} round(s), trace hash {}",
         journal.header().workload,
         probe.describe(),
         a.workers,
+        journal.header().shards,
         journal.events().len(),
         journal.round_count(),
         format_hash(journal.header().trace_hash)
@@ -252,9 +238,7 @@ fn replay_journal(journal: &Journal) -> Result<Option<String>, String> {
     ))?;
     probe.record_sets = h.record_sets;
     probe.profile_phases = h.profile_phases;
-    probe.pipelined = h.pipeline_depth > 0;
-    probe.pipeline_depth = h.pipeline_depth.max(1) as usize;
-    probe.shards = h.shards.max(1) as usize;
+    probe.shards = h.shards as usize;
     let (events, _) = record_events(bench.as_ref(), &probe);
     match diverge_bisect(journal.events(), &events) {
         ReplayOutcome::Identical { events, hash } => {

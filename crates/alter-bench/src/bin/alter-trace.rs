@@ -15,7 +15,8 @@
 //! JSONL transcripts are byte-identical.
 
 use alter_analyze::absint::{interpret, ALLOC_REGION};
-use alter_infer::{Model, Probe};
+use alter_heap::normalize_shards;
+use alter_infer::{Model, Probe, ProbeRun};
 use alter_trace::{
     format_hash, to_jsonl, trace_hash, Event, Metrics, Profile, Recorder, RingRecorder, WallProfile,
 };
@@ -39,26 +40,13 @@ flags:
                phase_profile events) and print the sorted hotspot table;
                set ALTER_PROFILE_WALL=1 for an informational wall-clock
                column (never part of the trace or its hash)
-  --no-fast-validation
-               disable the fingerprint validation fast path (A/B runs;
-               the trace hash is identical either way)
-  --no-incremental-snapshots
-               re-clone the whole heap every round instead of patching
-               dirty snapshot pages (A/B runs; identical traces)
-  --no-worker-pool
-               spawn fresh threads each round instead of reusing the
-               persistent worker pool (only affects --threaded runs)
-  --threaded   drive rounds with real threads instead of the sequential
-               simulation (identical traces, different wall-clock)
-  --pipeline   drive rounds with the ticketed pipeline committer (implies
-               a threaded pool run; identical traces — only the masked
-               stall/idle telemetry moves, which is the A/B point)
-  --pipeline-depth N
-               committer lookahead for --pipeline (default 4; 1 degenerates
-               to the lock-step barrier)
+  --threaded   drive rounds on the persistent worker pool instead of the
+               sequential simulation (identical traces, different
+               wall-clock)
   --shards N   heap shard count (default 1; rounded up to a power of two,
-               capped at 16 — identical traces at every count, only the
-               out-of-band shard counters move)
+               capped at 16 — the banner prints the normalized count;
+               identical traces at every count, only the out-of-band
+               shard counters move)
   --tickets    emit ticket-lifecycle events (ticket_issued /
                ticket_validated / ticket_requeued) into the trace; off by
                default so hashes match previous releases
@@ -187,46 +175,24 @@ fn list_workloads() {
 }
 
 /// Runs `probe` against `bench` with a fresh ring recorder and returns the
-/// captured events, the run verdict line, and the runtime's out-of-band
-/// perf counters: the validation fast-path quartet `[fingerprint_hits,
-/// fingerprint_rejects, pool_reuses, exact_scan_words]`, the
-/// round-overhead trio `[snapshot_slots_copied, snapshot_pages_reused,
-/// pool_round_handoffs]`, the pipeline quartet `[tickets_issued,
-/// tickets_requeued, committer_stall_units, worker_idle_units]`, then the
-/// sharding trio `[shard_validate_words, shard_commit_batches,
-/// shard_imbalance_max]` (zeros when the run aborted). The counters travel
-/// outside the event stream — traces are byte-identical whichever fast
-/// paths and drivers are enabled.
-fn record_run(bench: &dyn Benchmark, probe: &Probe) -> (Vec<Event>, String, [u64; 14]) {
+/// captured events, the run verdict line, and the run itself — whose
+/// statistics and simulated clock carry the out-of-band perf counters
+/// (`None` when the run aborted). The counters travel outside the event
+/// stream: traces are byte-identical whichever driver ran them.
+fn record_run(bench: &dyn Benchmark, probe: &Probe) -> (Vec<Event>, String, Option<ProbeRun>) {
     let rec = Arc::new(RingRecorder::default());
     let mut probe = probe.clone();
     probe.recorder = Some(rec.clone() as Arc<dyn Recorder>);
-    let mut counters = [0u64; 14];
-    let verdict = match bench.run_probe(&probe) {
-        Ok(run) => {
-            counters = [
-                run.stats.fingerprint_hits,
-                run.stats.fingerprint_rejects,
-                run.stats.pool_reuses,
-                run.stats.exact_scan_words,
-                run.stats.snapshot_slots_copied,
-                run.stats.snapshot_pages_reused,
-                run.stats.pool_round_handoffs,
-                run.stats.tickets_issued,
-                run.stats.tickets_requeued,
-                run.stats.committer_stall_units,
-                run.stats.worker_idle_units,
-                run.stats.shard_validate_words,
-                run.stats.shard_commit_batches,
-                run.stats.shard_imbalance_max,
-            ];
+    let (verdict, run) = match bench.run_probe(&probe) {
+        Ok(run) => (
             format!(
                 "run: ok  (retry rate {:.3}, {:.1} sequential-work units)",
                 run.stats.retry_rate(),
                 run.clock.seq_units
-            )
-        }
-        Err(e) => format!("run: aborted ({e})"),
+            ),
+            Some(run),
+        ),
+        Err(e) => (format!("run: aborted ({e})"), None),
     };
     let events = rec.events();
     if rec.dropped() > 0 {
@@ -235,7 +201,7 @@ fn record_run(bench: &dyn Benchmark, probe: &Probe) -> (Vec<Event>, String, [u64
             rec.dropped()
         );
     }
-    (events, verdict, counters)
+    (events, verdict, run)
 }
 
 fn main() -> ExitCode {
@@ -256,19 +222,14 @@ fn main() -> ExitCode {
     let mut jsonl = false;
     let mut twice = false;
     let mut profile = false;
-    let mut fast_validation = true;
-    let mut incremental_snapshots = true;
-    let mut worker_pool = true;
     let mut threaded = false;
-    let mut pipeline = false;
-    let mut pipeline_depth = 4usize;
     let mut shards = 1usize;
     let mut tickets = false;
     let mut deps = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--workers" | "--chunk" | "--pipeline-depth" | "--shards" => {
+            "--workers" | "--chunk" | "--shards" => {
                 let Some(v) = it.next().and_then(|v| v.parse::<usize>().ok()) else {
                     eprintln!("error: {a} needs a positive integer");
                     return ExitCode::FAILURE;
@@ -277,21 +238,14 @@ fn main() -> ExitCode {
                     workers = v.max(1);
                 } else if a == "--chunk" {
                     chunk = Some(v.max(1));
-                } else if a == "--shards" {
-                    shards = v.max(1);
                 } else {
-                    pipeline_depth = v.max(1);
-                    pipeline = true;
+                    shards = normalize_shards(v);
                 }
             }
             "--jsonl" => jsonl = true,
             "--twice" => twice = true,
             "--profile" => profile = true,
-            "--no-fast-validation" => fast_validation = false,
-            "--no-incremental-snapshots" => incremental_snapshots = false,
-            "--no-worker-pool" => worker_pool = false,
             "--threaded" => threaded = true,
-            "--pipeline" => pipeline = true,
             "--tickets" => tickets = true,
             "--deps" => deps = true,
             _ if a.starts_with("--") => {
@@ -337,12 +291,7 @@ fn main() -> ExitCode {
     if let Some(chunk) = chunk {
         probe.chunk = chunk;
     }
-    probe.fast_validation = fast_validation;
-    probe.incremental_snapshots = incremental_snapshots;
-    probe.worker_pool = worker_pool;
     probe.threaded = threaded;
-    probe.pipelined = pipeline;
-    probe.pipeline_depth = pipeline_depth;
     probe.shards = shards;
     probe.trace_tickets = tickets;
     probe.profile_phases = profile;
@@ -351,23 +300,8 @@ fn main() -> ExitCode {
     probe.wall_profile = wall.clone();
 
     let mut notes = Vec::new();
-    if !fast_validation {
-        notes.push("exact validation");
-    }
-    if !incremental_snapshots {
-        notes.push("full snapshots");
-    }
     if threaded {
-        notes.push(if worker_pool {
-            "threaded, worker pool"
-        } else {
-            "threaded, scoped spawns"
-        });
-    }
-    let pipeline_note;
-    if pipeline {
-        pipeline_note = format!("pipelined committer, depth {pipeline_depth}");
-        notes.push(&pipeline_note);
+        notes.push("threaded, worker pool");
     }
     let shard_note;
     if shards > 1 {
@@ -389,7 +323,7 @@ fn main() -> ExitCode {
             format!(" ({})", notes.join("; "))
         }
     );
-    let (events, verdict, counters) = record_run(bench.as_ref(), &probe);
+    let (events, verdict, run) = record_run(bench.as_ref(), &probe);
     println!("{verdict}");
     println!();
 
@@ -400,10 +334,33 @@ fn main() -> ExitCode {
     }
     println!();
     let mut metrics = Metrics::from_events(&events);
-    metrics.record_validation_counters(counters[0], counters[1], counters[2], counters[3]);
-    metrics.record_round_counters(counters[4], counters[5], counters[6]);
-    metrics.record_pipeline_counters(counters[7], counters[8], counters[9], counters[10]);
-    metrics.record_shard_counters(counters[11], counters[12], counters[13]);
+    if let Some(run) = &run {
+        let s = &run.stats;
+        metrics.record_validation_counters(
+            s.fingerprint_hits,
+            s.fingerprint_rejects,
+            s.pool_reuses,
+            s.exact_scan_words,
+        );
+        metrics.record_round_counters(
+            s.snapshot_slots_copied,
+            s.snapshot_pages_reused,
+            s.pool_round_handoffs,
+        );
+        // The engine's committer streams tickets in order; the simulated
+        // clock charges its stall/idle under that discipline.
+        metrics.record_pipeline_counters(
+            s.tickets_issued,
+            s.tickets_requeued,
+            run.clock.stall.streaming.committer_stall_units,
+            run.clock.stall.streaming.worker_idle_units,
+        );
+        metrics.record_shard_counters(
+            s.shard_validate_words,
+            s.shard_commit_batches,
+            s.shard_imbalance_max,
+        );
+    }
     print!("{}", metrics.render());
     println!();
     if profile {

@@ -33,7 +33,7 @@
 //! is a single shard, which is bit-for-bit the pre-sharding layout.
 
 use crate::object::{ObjData, ObjId};
-use crate::sets::{Fingerprint, SHARD_LANES};
+use crate::sets::{normalize_shards, Fingerprint};
 use std::sync::Arc;
 
 /// Slots per snapshot page. Pages are the unit of structural sharing
@@ -162,9 +162,9 @@ pub struct Heap {
     /// Whether the shards' `snap_pages` reflect some past snapshot (false
     /// until the first incremental snapshot, which does a full build).
     snap_valid: bool,
-    /// Monotonic snapshot epoch: bumped once per round snapshot (either
-    /// flavour). The pipelined engine stamps every ticket with the epoch it
-    /// executes against; a re-queued ticket gets the next (fresh) epoch.
+    /// Monotonic snapshot epoch: bumped once per round snapshot. The engine
+    /// stamps every ticket with the epoch it executes against; a re-queued
+    /// ticket gets the next (fresh) epoch.
     epoch: u64,
 }
 
@@ -188,8 +188,8 @@ impl Heap {
         Self::default()
     }
 
-    /// Creates an empty heap partitioned into `shards` shards (rounded to a
-    /// power of two, clamped to `1..=`[`SHARD_LANES`]).
+    /// Creates an empty heap partitioned into
+    /// [`normalize_shards`]`(shards)` shards.
     pub fn with_shards(shards: usize) -> Self {
         let mut h = Self::default();
         h.set_shards(shards);
@@ -219,18 +219,17 @@ impl Heap {
         (shard, local)
     }
 
-    /// Re-partitions the slot table into `shards` shards (rounded to a
-    /// power of two, clamped to `1..=`[`SHARD_LANES`]). A no-op when the
-    /// count is unchanged; otherwise slots are redistributed
-    /// deterministically in ascending id order, the per-shard write
-    /// fingerprints reset, and the snapshot cache is dropped so the next
+    /// Re-partitions the slot table into [`normalize_shards`]`(shards)`
+    /// shards. A no-op when the count is unchanged; otherwise slots are
+    /// redistributed deterministically in ascending id order, the per-shard
+    /// write fingerprints reset, and the snapshot cache is dropped so the next
     /// incremental snapshot does a full build — exactly the cost a fresh
     /// heap's first snapshot pays, so snapshot accounting stays comparable
     /// across shard counts. The committed state, versions, free list and
     /// epoch are untouched; digests and snapshots are identical before and
     /// after.
     pub fn set_shards(&mut self, shards: usize) {
-        let n = shards.clamp(1, SHARD_LANES).next_power_of_two();
+        let n = normalize_shards(shards);
         if n == self.shards.len() {
             return;
         }
@@ -387,9 +386,10 @@ impl Heap {
     ///
     /// Cost is one `Arc` clone per slot — the analogue of re-establishing
     /// all N copy-on-write mappings at the start of a lock-step round. The
-    /// engine's hot path uses [`Heap::snapshot_incremental`] instead; this
-    /// entry point stays for one-shot snapshots (dependence detection,
-    /// tests) and as the A/B baseline.
+    /// engine's rounds use [`Heap::snapshot_incremental`] instead; this
+    /// entry point serves one-shot snapshots (dependence detection) and is
+    /// the reference the incremental path is tested against. It leaves the
+    /// snapshot epoch alone.
     pub fn snapshot(&self) -> Snapshot {
         let npages = self.page_count();
         Snapshot {
@@ -403,15 +403,6 @@ impl Heap {
             len: self.len,
             version: self.version,
         }
-    }
-
-    /// Takes a full-build round snapshot *and* advances the snapshot
-    /// epoch — the engine's non-incremental round path. One-shot snapshots
-    /// that are not round boundaries (dependence detection, tests) keep
-    /// using [`Heap::snapshot`], which leaves the epoch alone.
-    pub fn snapshot_round(&mut self) -> Snapshot {
-        self.epoch += 1;
-        self.snapshot()
     }
 
     /// The current snapshot epoch: how many round snapshots this heap has
@@ -971,10 +962,10 @@ mod tests {
         let mut h = Heap::new();
         let _ = h.alloc(ObjData::scalar_i64(1));
         assert_eq!(h.snapshot_epoch(), 0);
-        // Both round-snapshot flavours advance the epoch…
+        // Every round snapshot advances the epoch…
         let _ = h.snapshot_incremental();
         assert_eq!(h.snapshot_epoch(), 1);
-        let _ = h.snapshot_round();
+        let _ = h.snapshot_incremental();
         assert_eq!(h.snapshot_epoch(), 2);
         // …a plain one-shot snapshot does not, and neither does dropping
         // the incremental cache (epochs stay monotonic forever).

@@ -49,5 +49,5 @@ pub use alloc::{IdReservation, DEFAULT_BLOCK_SIZE};
 pub use heap::{CommitOps, Heap, Snapshot, SnapshotStats, SNAPSHOT_PAGE_SLOTS};
 pub use object::{ObjData, ObjId, ObjKind};
 pub use pool::{TxBufferPool, TxBuffers};
-pub use sets::{shard_of_id, AccessSet, Fingerprint, RangeSet, SHARD_LANES};
+pub use sets::{normalize_shards, shard_of_id, AccessSet, Fingerprint, RangeSet, SHARD_LANES};
 pub use tx::{MemoryExceeded, TrackMode, Tx, TxEffects, TxStats};

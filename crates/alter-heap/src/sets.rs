@@ -23,6 +23,14 @@ const FINGERPRINT_BLOCK_SHIFT: u32 = 6;
 /// lanes. See [`shard_of_id`].
 pub const SHARD_LANES: usize = 16;
 
+/// The shard count a request for `shards` actually yields: rounded up to a
+/// power of two and clamped to `1..=`[`SHARD_LANES`]. The heap, the engine
+/// parameters and the CLIs all normalize through this one function, so a
+/// reported or journaled count is always the count the heap runs.
+pub fn normalize_shards(shards: usize) -> usize {
+    shards.clamp(1, SHARD_LANES).next_power_of_two()
+}
+
 /// The heap shard `id` routes to, out of `shards` (a power of two, at most
 /// [`SHARD_LANES`]). Routing is by *snapshot page* — all ids of one
 /// 64-slot page share a shard — interleaved round-robin so consecutive
@@ -624,6 +632,16 @@ mod tests {
 
     fn id(n: u32) -> ObjId {
         ObjId::from_index(n)
+    }
+
+    #[test]
+    fn shard_counts_normalize_to_a_power_of_two_within_the_lanes() {
+        assert_eq!(normalize_shards(0), 1);
+        assert_eq!(normalize_shards(1), 1);
+        assert_eq!(normalize_shards(3), 4);
+        assert_eq!(normalize_shards(9), 16);
+        assert_eq!(normalize_shards(16), 16);
+        assert_eq!(normalize_shards(64), 16);
     }
 
     #[test]

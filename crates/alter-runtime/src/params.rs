@@ -113,27 +113,6 @@ pub struct ExecParams {
     /// engine also short-circuits on [`Recorder::is_enabled`], so the hot
     /// path pays a single branch either way.
     pub recorder: Option<Arc<dyn Recorder>>,
-    /// Use the layered validation fast path (fingerprint pre-check plus a
-    /// cumulative round write-set) instead of scanning every earlier
-    /// committed writer. Verdicts, committed state, traces and the
-    /// trace-visible cost accounting are identical either way — this knob
-    /// exists for A/B measurement and as a belt-and-braces escape hatch.
-    pub fast_validation: bool,
-    /// Take round snapshots through the heap's persistent page table
-    /// ([`alter_heap::Heap::snapshot_incremental`]) — O(slots dirtied since
-    /// the last round) — instead of rebuilding the whole slot table. The
-    /// snapshot views, committed state and traces are bit-identical either
-    /// way; only the [`crate::RunStats::snapshot_slots_copied`] /
-    /// [`crate::RunStats::snapshot_pages_reused`] counters tell them apart.
-    pub incremental_snapshots: bool,
-    /// Under the threaded driver, execute rounds on a persistent
-    /// [`crate::WorkerPool`] (long-lived threads, per-round handoff) instead
-    /// of spawning a fresh `thread::scope` per round. Results are collected
-    /// in worker-index order, so commit order, traces and statistics are
-    /// identical in all three drive modes —
-    /// [`crate::RunStats::pool_round_handoffs`] is the one exception, since
-    /// it counts the handoffs themselves. Ignored by the sequential driver.
-    pub worker_pool: bool,
     /// Emit an `Event::TaskSets` with each validated task's full read and
     /// write sets (canonical `obj:lo-hi,…` form). Off by default — it fattens
     /// traces considerably and exists for the `alter-lint` isolation
@@ -150,35 +129,15 @@ pub struct ExecParams {
     /// time is nondeterministic), so it never affects traces or hashes; the
     /// CLIs attach one under `ALTER_PROFILE_WALL=1`.
     pub wall_profile: Option<Arc<alter_trace::WallProfile>>,
-    /// Drive rounds through the ticketed pipeline committer: the persistent
-    /// worker pool streams each ticket's result back as soon as its lane
-    /// finishes, and the committer validates/commits strictly in ticket
-    /// order while later lanes are still executing — instead of waiting at
-    /// the round barrier for the slowest task. Commit order, committed
-    /// state, traces and semantic statistics are identical to the lock-step
-    /// drivers; only the drive-mode counters
-    /// ([`crate::RunStats::committer_stall_units`],
-    /// [`crate::RunStats::worker_idle_units`]) see the overlap. Off by
-    /// default. Requires the threaded driver with `worker_pool` to overlap
-    /// for real; other drivers honour the flag by charging the pipelined
-    /// virtual-time model (a sequential simulation of the same schedule).
-    pub pipelined: bool,
-    /// Committer lookahead for the pipelined driver. `1` degenerates to
-    /// today's barrier behaviour (the committer starts only once the whole
-    /// round has executed); `≥ 2` streams tickets through the committer as
-    /// lanes deliver them. Values above 2 are accepted as headroom for
-    /// future cross-epoch staging — the current engine never holds more
-    /// than one round of tickets in flight. Ignored unless `pipelined`.
-    pub pipeline_depth: usize,
     /// Emit `TicketIssued`/`TicketValidated`/`TicketRequeued` lifecycle
     /// events into the trace. Off by default so existing canonical traces
-    /// and their hashes are unchanged; when on, *every* driver emits the
+    /// and their hashes are unchanged; when on, both drivers emit the
     /// identical ticket lifecycle at the identical points, so the events
     /// never break cross-driver trace identity. No effect without a
     /// recorder.
     pub trace_tickets: bool,
-    /// Number of heap shards (power of two, clamped to
-    /// `1..=`[`alter_heap::SHARD_LANES`]). `1` — the default — is bit-for-bit
+    /// Number of heap shards; the engine partitions the heap into
+    /// [`alter_heap::normalize_shards`]`(shards)`. `1` — the default — is bit-for-bit
     /// the unsharded heap. At `> 1` the heap partitions its slot table by
     /// snapshot page and validation probes the round write-set shard by
     /// shard with word-block scans. Commit order per shard equals ticket
@@ -201,14 +160,9 @@ impl std::fmt::Debug for ExecParams {
             .field("budget_words", &self.budget_words)
             .field("work_budget", &self.work_budget)
             .field("recorder", &self.recorder.as_ref().map(|r| r.is_enabled()))
-            .field("fast_validation", &self.fast_validation)
-            .field("incremental_snapshots", &self.incremental_snapshots)
-            .field("worker_pool", &self.worker_pool)
             .field("record_sets", &self.record_sets)
             .field("profile_phases", &self.profile_phases)
             .field("wall_profile", &self.wall_profile.is_some())
-            .field("pipelined", &self.pipelined)
-            .field("pipeline_depth", &self.pipeline_depth)
             .field("trace_tickets", &self.trace_tickets)
             .field("shards", &self.shards)
             .finish()
@@ -229,14 +183,9 @@ impl ExecParams {
             budget_words: u64::MAX,
             work_budget: None,
             recorder: None,
-            fast_validation: true,
-            incremental_snapshots: true,
-            worker_pool: true,
             record_sets: false,
             profile_phases: false,
             wall_profile: None,
-            pipelined: false,
-            pipeline_depth: 4,
             trace_tickets: false,
             shards: 1,
         }
@@ -329,29 +278,6 @@ impl ExecParams {
         self
     }
 
-    /// Builder-style: enable or disable the validation fast path (on by
-    /// default; disabling it is only useful for A/B measurement).
-    pub fn with_fast_validation(mut self, on: bool) -> Self {
-        self.fast_validation = on;
-        self
-    }
-
-    /// Builder-style: enable or disable incremental round snapshots (on by
-    /// default; disabling rebuilds the page table every round, for A/B
-    /// measurement).
-    pub fn with_incremental_snapshots(mut self, on: bool) -> Self {
-        self.incremental_snapshots = on;
-        self
-    }
-
-    /// Builder-style: enable or disable the persistent worker pool under
-    /// the threaded driver (on by default; disabling reverts to one
-    /// `thread::scope` spawn per round, for A/B measurement).
-    pub fn with_worker_pool(mut self, on: bool) -> Self {
-        self.worker_pool = on;
-        self
-    }
-
     /// Builder-style: emit full per-task read/write sets into the trace
     /// (off by default; used by the `alter-lint` isolation sanitizer).
     pub fn with_record_sets(mut self, on: bool) -> Self {
@@ -374,31 +300,16 @@ impl ExecParams {
         self
     }
 
-    /// Builder-style: drive rounds through the ticketed pipeline committer
-    /// (off by default; see [`ExecParams::pipelined`]).
-    pub fn with_pipelined(mut self, on: bool) -> Self {
-        self.pipelined = on;
-        self
-    }
-
-    /// Builder-style: set the pipelined committer's lookahead depth
-    /// (default 4; `1` degenerates to the round barrier).
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth.max(1);
-        self
-    }
-
     /// Builder-style: emit ticket-lifecycle trace events (off by default).
     pub fn with_trace_tickets(mut self, on: bool) -> Self {
         self.trace_tickets = on;
         self
     }
 
-    /// Builder-style: set the heap shard count (default 1; rounded to a
-    /// power of two and clamped to `1..=`[`alter_heap::SHARD_LANES`], the
-    /// same normalization [`alter_heap::Heap::set_shards`] applies).
+    /// Builder-style: set the heap shard count (default 1), normalized by
+    /// [`alter_heap::normalize_shards`] as the heap itself will.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.clamp(1, alter_heap::SHARD_LANES).next_power_of_two();
+        self.shards = alter_heap::normalize_shards(shards);
         self
     }
 
@@ -480,12 +391,6 @@ mod tests {
         assert_eq!(p.chunk, 1);
         assert_eq!(p.budget_words, 100);
         assert_eq!(p.work_budget, Some(1000));
-        assert!(!p.pipelined, "pipelining is opt-in");
-        let piped = ExecParams::new(4, 16)
-            .with_pipelined(true)
-            .with_pipeline_depth(0);
-        assert!(piped.pipelined);
-        assert_eq!(piped.pipeline_depth, 1, "depth clamps to 1");
         assert_eq!(ExecParams::new(4, 16).shards, 1, "sharding is opt-in");
         assert_eq!(ExecParams::new(4, 16).with_shards(9).shards, 16);
         assert_eq!(ExecParams::new(4, 16).with_shards(0).shards, 1);

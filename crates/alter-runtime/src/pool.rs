@@ -113,8 +113,8 @@ impl<J, R> WorkerPool<J, R> {
 
     /// Dispatches one round's jobs (job *i* to lane *i*) and returns a
     /// stream that yields each lane's result **in ticket order** as soon as
-    /// it is available — the barrier-free handoff behind the pipelined
-    /// committer. Lane *i+1* keeps executing while the caller consumes
+    /// it is available — the barrier-free handoff the engine's in-order
+    /// committer consumes. Lane *i+1* keeps executing while the caller consumes
     /// ticket *i*; [`WorkerPool::run_round`] is exactly this stream drained
     /// to a `Vec`.
     ///

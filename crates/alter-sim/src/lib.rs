@@ -14,6 +14,8 @@
 //!   read tracking under WAW is exactly why StaleReads beats OutOfOrder;
 //! * commit & validation: serialized in deterministic commit order;
 //! * barrier & snapshot: fixed per-round overhead;
+//! * committer stall and worker idle, under both the round barrier and the
+//!   streaming in-order committer ([`round_stall`]), from the same run;
 //! * optional shared-bandwidth ceiling for memory-bound kernels.
 //!
 //! All inputs are measured (op counts, set sizes, retry schedules), so the
@@ -24,6 +26,8 @@
 
 mod cost;
 mod sim;
+mod stall;
 
 pub use cost::CostModel;
 pub use sim::{simulate_loop, SimClock, SimObserver};
+pub use stall::{round_stall, Stall, StallModel};

@@ -1,6 +1,7 @@
 //! The deterministic virtual-time multicore executor.
 
 use crate::cost::CostModel;
+use crate::stall::{round_stall, StallModel};
 use alter_heap::Heap;
 use alter_runtime::{
     run_loop_observed, Driver, ExecParams, IterSpace, RedVars, RoundObserver, RoundReport,
@@ -27,6 +28,11 @@ pub struct SimClock {
     pub overhead_units: f64,
     /// Breakdown: extra time added by the bandwidth ceiling.
     pub bandwidth_stall_units: f64,
+    /// Committer stall and worker idle units of the observed rounds under
+    /// both the round barrier and the streaming in-order committer (see
+    /// [`round_stall`]). Integer cost units, independent of the model's
+    /// constants.
+    pub stall: StallModel,
 }
 
 impl SimClock {
@@ -148,6 +154,7 @@ impl RoundObserver for SimObserver<'_> {
         self.clock.commit_units += commit;
         self.clock.overhead_units += overhead;
         self.clock.rounds += 1;
+        self.clock.stall.add(&round_stall(r.tasks));
     }
 }
 

@@ -269,9 +269,9 @@ pub enum Event {
     /// The sequencer handed a ticket to a worker lane: one iteration chunk
     /// stamped with the snapshot epoch it will execute against. Emitted
     /// only when `ExecParams::trace_tickets` is on, immediately after the
-    /// ticket's [`Event::TaskStart`]; every driver (sequential, scoped,
-    /// pooled, pipelined) emits the same ticket lifecycle at the same
-    /// points, so the events never perturb cross-driver trace identity.
+    /// ticket's [`Event::TaskStart`]; both drivers (inline and pooled) emit
+    /// the same ticket lifecycle at the same points, so the events never
+    /// perturb cross-driver trace identity.
     TicketIssued {
         /// Program-order ticket (= chunk sequence) number.
         seq: u64,

@@ -41,10 +41,11 @@ pub struct JournalHeader {
     pub record_sets: bool,
     /// Whether `PhaseProfile` events were recorded.
     pub profile_phases: bool,
-    /// Pipelined-committer lookahead the run was recorded under: 0 means
-    /// the lock-step (barrier) driver, `n ≥ 1` means the ticketed pipeline
-    /// driver with `pipeline_depth = n`. Absent in pre-pipeline journals,
-    /// which read back as 0.
+    /// The header's `pipeline` field, kept so version-1 journals keep one
+    /// format: it named a committer lookahead, but every driver produces
+    /// the same trace, so recorders write 0 and replay ignores it. The
+    /// reader still requires a well-formed integer and reads an absent
+    /// field (older journals) as 0.
     pub pipeline_depth: u32,
     /// Heap shard count the run was recorded under, so replay reconstructs
     /// the identical sharded heap. Absent in pre-sharding journals, which

@@ -154,7 +154,7 @@ pub struct Metrics {
     pub validate_words: Histogram,
     /// Validations whose fingerprint pre-check fell through to an exact
     /// scan. Reported by the runtime (not derived from events — the event
-    /// stream is identical with the fast path on or off).
+    /// stream does not depend on what the fingerprints saved).
     pub fingerprint_hits: u64,
     /// Validations rejected in O(1) by the fingerprint pre-check.
     pub fingerprint_rejects: u64,
@@ -165,14 +165,14 @@ pub struct Metrics {
     /// Slot entries copied while establishing round snapshots. Reported by
     /// the runtime, like the validation counters: the event stream carries
     /// the trace-stable full-table figure (`RoundStart.snapshot_slots`),
-    /// while this counter reflects what snapshot construction actually
-    /// copied (far less with incremental snapshots on).
+    /// while this counter reflects what the incremental snapshot actually
+    /// copied (far less).
     pub snapshot_slots_copied: u64,
     /// Snapshot pages structurally shared with the previous round's
-    /// snapshot instead of being copied (incremental snapshots only).
+    /// snapshot instead of being copied.
     pub snapshot_pages_reused: u64,
-    /// Rounds handed to the persistent worker pool (0 under the sequential
-    /// and per-round-scope drivers).
+    /// Rounds handed to the persistent worker pool (0 under the inline
+    /// driver).
     pub pool_round_handoffs: u64,
     /// Fresh tickets handed out by the sequencer. Reported by the runtime
     /// (pipeline-ledger bookkeeping, not derived from events).
@@ -249,10 +249,10 @@ impl Metrics {
         }
     }
 
-    /// Merges the runtime's validation fast-path counters into the
-    /// registry. These live outside the event stream on purpose: traces are
-    /// byte-identical with the fast path on or off, so the counters arrive
-    /// through run statistics instead. Plain integers keep this crate free
+    /// Merges the runtime's validation counters into the registry. These
+    /// live outside the event stream on purpose: traces carry only the
+    /// per-writer `validate_words`, whatever the fingerprints saved, so the
+    /// counters arrive through run statistics instead. Plain integers keep this crate free
     /// of a runtime dependency.
     pub fn record_validation_counters(
         &mut self,
@@ -283,11 +283,12 @@ impl Metrics {
         self.pool_round_handoffs += pool_round_handoffs;
     }
 
-    /// Merges the runtime's ticketed-pipeline counters into the registry.
-    /// Like the other out-of-band counters, these never ride in the event
-    /// stream: the stall/idle units are a pure function of the per-task
-    /// cost model and the configured driver, and traces stay byte-identical
-    /// whichever driver produced them.
+    /// Merges the ticketed-pipeline counters into the registry: the
+    /// runtime's ticket counts and the simulator's committer stall/idle
+    /// units. Like the other out-of-band counters, these never ride in the
+    /// event stream: the stall/idle units are a pure function of the
+    /// per-task counters, and traces stay byte-identical whichever driver
+    /// produced them.
     pub fn record_pipeline_counters(
         &mut self,
         tickets_issued: u64,

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Runtime micro-benchmarks: the primitive-cost benchmarks plus the three
-# deterministic benches (validation fast path, round-overhead machinery,
-# phase profiler), which together regenerate BENCH_runtime.json at the repo
-# root. Everything in the JSON is a deterministic counter (cost units,
+# Runtime micro-benchmarks: the primitive-cost benchmarks plus the
+# deterministic benches (validation, round overhead, phase profiler,
+# committer stall, sharding, model checker, static analyzer), which
+# together regenerate BENCH_runtime.json at the repo root. Everything in the JSON is a deterministic counter (cost units,
 # validate words, exact-scan words, snapshot slots copied, trace hashes) —
 # no wall-clock — so the file is stable across machines and is checked in;
 # a diff after running this script means the runtime's work profile
 # actually changed.
 #
 # Usage: scripts/bench.sh [--smoke]
-#   --smoke   deterministic A/B benches only (the part CI runs)
+#   --smoke   deterministic benches only (the part CI runs)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,16 +29,16 @@ fi
 # cargo runs bench binaries from the package directory, so hand the benches
 # absolute paths.
 mkdir -p target
-echo "== validation fast-path A/B =="
+echo "== validation (fingerprinted scan words vs per-writer scan) =="
 cargo bench -p alter-bench --bench validation -- --json "$PWD/target/bench-validation.json"
 echo
-echo "== round-overhead A/B (snapshots + worker pool) =="
+echo "== round overhead (incremental vs full-rebuild snapshot slots) =="
 cargo bench -p alter-bench --bench round_overhead -- --json "$PWD/target/bench-round-overhead.json"
 echo
 echo "== phase profiler (per-phase cost units, worker sweep) =="
 cargo bench -p alter-bench --bench phases -- --json "$PWD/target/bench-phases.json"
 echo
-echo "== pipelined committer A/B (stall units vs barrier) =="
+echo "== committer stall (streaming vs barrier, one run) =="
 # ALTER_BENCH_WALL=1 adds an informational wall-clock column to the console
 # output; the JSON artifact stays pure cost units either way.
 cargo bench -p alter-bench --bench pipeline -- --json "$PWD/target/bench-pipeline.json"

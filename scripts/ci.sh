@@ -6,6 +6,19 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+# Fails the gate if a committed baseline drifted from what this tree
+# regenerates. `git status --porcelain` (not `git diff --quiet`) so a
+# deleted or never-committed baseline counts as drift too.
+drift_check() {
+  local file=$1 what=$2
+  if [[ -n "$(git status --porcelain -- "$file")" ]]; then
+    echo "error: $file drifted — $what changed; inspect the diff and"
+    echo "re-commit if intended."
+    git --no-pager diff -- "$file"
+    exit 1
+  fi
+}
+
 echo "== fmt --check =="
 cargo fmt --all --check
 
@@ -27,12 +40,7 @@ cargo run --release -q -p alter-bench --bin alter-lint -- --analysis ANALYSIS.js
 # The baseline writer hand-rolls its JSON, so re-parse it with the strict
 # grammar before the drift check consumes it.
 cargo run --release -q -p alter-bench --bin alter-check-json -- ANALYSIS.json
-if [[ -n "$(git status --porcelain -- ANALYSIS.json)" ]]; then
-  echo "error: ANALYSIS.json drifted — the analyzer's dependence/annotation"
-  echo "verdicts changed; inspect the diff and re-commit if intended."
-  git --no-pager diff -- ANALYSIS.json
-  exit 1
-fi
+drift_check ANALYSIS.json "the analyzer's dependence/annotation verdicts"
 
 echo "== alter-absint (static ⊇ dynamic cross-validation over all 12 specs) =="
 # Interprets every workload's declared LoopSpec under the interval × stride
@@ -41,13 +49,7 @@ echo "== alter-absint (static ⊇ dynamic cross-validation over all 12 specs) ==
 # the static verdict baseline for the drift check below.
 cargo run --release -q -p alter-bench --bin alter-absint -- --json STATIC.json
 cargo run --release -q -p alter-bench --bin alter-check-json -- STATIC.json
-if [[ -n "$(git status --porcelain -- STATIC.json)" ]]; then
-  echo "error: STATIC.json drifted — the abstract interpreter's symbolic"
-  echo "summaries or static verdicts changed; inspect the diff and"
-  echo "re-commit if intended."
-  git --no-pager diff -- STATIC.json
-  exit 1
-fi
+drift_check STATIC.json "the abstract interpreter's symbolic summaries or static verdicts"
 
 echo "== record/replay identity (determinism gate) =="
 # Records a journal with full task_sets + profile payloads under the given
@@ -62,12 +64,10 @@ record_and_replay() {
     record "$w" --sets --profile "$@" --out "$out" > /dev/null
   cargo run --release -q -p alter-bench --bin alter-replay -- replay "$out"
 }
-# Each workload is gated twice: under the lock-step driver and under the
-# ticketed pipeline committer (the journal header carries the pipeline
-# depth, so the replay reconstructs the same driver).
+# Threaded-vs-sequential trace identity is gated by tests/round_modes.rs
+# at 2 and 8 workers; here each workload's recording must replay.
 for w in genome k-means; do
   record_and_replay "$w" "target/$w.journal"
-  record_and_replay "$w" "target/$w-pipeline.journal" --pipeline-depth 4
 done
 # Sharded-heap gate: the journal header carries the shard count, so the
 # replay reconstructs the identical sharded layout — and the trace must
@@ -88,13 +88,7 @@ cargo run --release -q -p alter-bench --bin alter-check -- \
 # The check writer hand-rolls its JSON, so re-parse it with the strict
 # grammar before the drift check consumes it.
 cargo run --release -q -p alter-bench --bin alter-check-json -- CHECK.json
-if [[ -n "$(git status --porcelain -- CHECK.json)" ]]; then
-  echo "error: CHECK.json drifted — the schedule-space exploration counts"
-  echo "or a soundness verdict changed; inspect the diff and re-commit if"
-  echo "intended."
-  git --no-pager diff -- CHECK.json
-  exit 1
-fi
+drift_check CHECK.json "the schedule-space exploration counts or a soundness verdict"
 # The checker must also fail when it should: k-means under DOALL is
 # deliberately unsound, and the dumped counterexample pair must diverge
 # under the replay diff bisector (both commands exit 1).
@@ -118,22 +112,10 @@ cargo run --release -q -p alter-bench --bin alter-replay -- \
 # The profile writer hand-rolls its JSON, so re-parse the regenerated file
 # with the strict grammar before the drift check consumes it.
 cargo run --release -q -p alter-bench --bin alter-check-json -- PROFILE.json
-if [[ -n "$(git status --porcelain -- PROFILE.json)" ]]; then
-  echo "error: PROFILE.json drifted — the deterministic per-phase cost"
-  echo "profile changed; inspect the diff and re-commit if intended."
-  git --no-pager diff -- PROFILE.json
-  exit 1
-fi
+drift_check PROFILE.json "the deterministic per-phase cost profile"
 
-echo "== bench smoke (deterministic A/B counters) =="
+echo "== bench smoke (deterministic counters) =="
 scripts/bench.sh --smoke
-# `git status --porcelain` (not `git diff --quiet`) so a deleted or
-# never-committed BENCH_runtime.json counts as drift too.
-if [[ -n "$(git status --porcelain -- BENCH_runtime.json)" ]]; then
-  echo "error: BENCH_runtime.json drifted — the runtime's deterministic"
-  echo "work profile changed; inspect the diff and re-commit if intended."
-  git --no-pager diff -- BENCH_runtime.json
-  exit 1
-fi
+drift_check BENCH_runtime.json "the runtime's deterministic work profile"
 
 echo "tier-1 gate: OK"

@@ -1,28 +1,23 @@
-//! Round-mode invisibility sweep: the persistent worker pool, the
-//! incremental snapshot cache, the ticketed pipeline committer, and the
-//! sharded versioned heap are pure throughput optimizations, so every
-//! workload must produce a byte-identical event transcript — and therefore
-//! the same trace hash, the same program output (the heap digest each
-//! workload extracts), and the same semantic `RunStats` — across all
-//! combinations of {sequential, threaded+pool} × {incremental, full}
-//! snapshots × {lock-step, pipelined at depth 1 and 4} × heap shard counts
-//! {1, 4, 16}, at 1, 2, and 8 workers.
+//! Round-mode invisibility sweep: the persistent worker pool with its
+//! streaming in-order committer and the sharded versioned heap are pure
+//! throughput optimizations, so every workload must produce a
+//! byte-identical event transcript — and therefore the same trace hash,
+//! the same program output (the heap digest each workload extracts), and
+//! the same semantic `RunStats` — under the sequential driver, the threaded
+//! driver, and the threaded driver over 4- and 16-shard heaps, at 1, 2, and
+//! 8 workers.
 //!
-//! Drive-mode bookkeeping (`pool_round_handoffs`, the ticket counters, the
-//! stall/idle telemetry — everything `RunStats::modulo_drive_mode` masks)
-//! and snapshot-economics counters (`snapshot_slots_copied`,
-//! `snapshot_pages_reused`) are the *only* fields allowed to differ;
-//! everything else in `RunStats` is part of the observable semantics and is
-//! compared exactly. Shard counts above 1 additionally move the fast-path
-//! accounting — which fingerprint probes ran and how many words the exact
-//! scans compared (`fingerprint_hits`/`rejects`, `exact_scan_words`, and
-//! the `shard_*` trio) — but never any verdict, so sharded runs compare
-//! with those counters masked on top. Pipeline depth 1 must degenerate all
-//! the way: its *full* `RunStats` — stall model included — equals the
-//! pooled lock-step run's. Direct final-heap equality across drive modes
-//! is asserted at the engine level (`alter-runtime`'s
-//! `threaded_and_sequential_drivers_are_identical`); here each workload's
-//! output is the heap projection being compared.
+//! Drive-mode bookkeeping (`pool_round_handoffs` and the ticket counters —
+//! everything `RunStats::modulo_drive_mode` masks) is the *only* thing
+//! allowed to differ between drivers; everything else in `RunStats`,
+//! snapshot economics included, is compared exactly. Shard counts above 1
+//! additionally move the fast-path accounting — which fingerprint probes
+//! ran and how many words the exact scans compared (`fingerprint_hits` /
+//! `rejects`, `exact_scan_words`, and the `shard_*` trio) — but never any
+//! verdict, so sharded runs compare with those counters masked on top.
+//! Direct final-heap equality across drivers is asserted at the engine
+//! level (`alter-runtime`'s `threaded_and_sequential_drivers_are_identical`);
+//! here each workload's output is the heap projection being compared.
 
 use alter::infer::ProgramOutput;
 use alter::runtime::RunStats;
@@ -34,48 +29,7 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug)]
 struct Mode {
     threaded: bool,
-    worker_pool: bool,
-    incremental: bool,
-    pipelined: bool,
-    depth: usize,
     shards: usize,
-}
-
-impl Mode {
-    const fn lock_step(threaded: bool, worker_pool: bool, incremental: bool) -> Mode {
-        Mode {
-            threaded,
-            worker_pool,
-            incremental,
-            pipelined: false,
-            depth: 1,
-            shards: 1,
-        }
-    }
-
-    const fn pipelined(depth: usize) -> Mode {
-        Mode {
-            threaded: true,
-            worker_pool: true,
-            incremental: true,
-            pipelined: true,
-            depth,
-            shards: 1,
-        }
-    }
-
-    /// The pooled lock-step driver over a sharded heap: the shard count is
-    /// the only knob turned, so any visible difference is the heap's fault.
-    const fn sharded(shards: usize) -> Mode {
-        Mode {
-            threaded: true,
-            worker_pool: true,
-            incremental: true,
-            pipelined: false,
-            depth: 1,
-            shards,
-        }
-    }
 }
 
 /// One traced run of `bench` under its best annotation.
@@ -87,10 +41,6 @@ fn traced(
     let rec = Arc::new(RingRecorder::default());
     let mut probe = bench.best_probe(workers);
     probe.threaded = mode.threaded;
-    probe.worker_pool = mode.worker_pool;
-    probe.incremental_snapshots = mode.incremental;
-    probe.pipelined = mode.pipelined;
-    probe.pipeline_depth = mode.depth;
     probe.shards = mode.shards;
     probe.recorder = Some(rec.clone() as Arc<dyn Recorder>);
     let run = bench.run_probe(&probe).expect("probe must complete");
@@ -102,15 +52,6 @@ fn traced(
         run.output,
         run.stats,
     )
-}
-
-/// Masks the fields a drive mode or snapshot mode is *allowed* to change.
-fn semantic(stats: &RunStats) -> RunStats {
-    RunStats {
-        snapshot_slots_copied: 0,
-        snapshot_pages_reused: 0,
-        ..stats.modulo_drive_mode()
-    }
 }
 
 /// Additionally masks the fast-path accounting a shard count is allowed to
@@ -126,28 +67,33 @@ fn shard_semantic(stats: &RunStats) -> RunStats {
         shard_validate_words: 0,
         shard_commit_batches: 0,
         shard_imbalance_max: 0,
-        ..semantic(stats)
+        ..stats.modulo_drive_mode()
     }
 }
 
 #[test]
 fn round_modes_are_invisible_across_the_suite() {
+    // The first entry is the baseline every other mode must match.
+    let modes = [
+        Mode {
+            threaded: false,
+            shards: 1,
+        },
+        Mode {
+            threaded: true,
+            shards: 1,
+        },
+        Mode {
+            threaded: true,
+            shards: 4,
+        },
+        Mode {
+            threaded: true,
+            shards: 16,
+        },
+    ];
     for bench in all_benchmarks(Scale::Inference) {
         for workers in [1usize, 2, 8] {
-            // The first entry is the baseline every other mode must match;
-            // POOLED indexes the pooled lock-step run that pipeline depth 1
-            // must reproduce field for field.
-            const POOLED: usize = 2;
-            let modes = [
-                Mode::lock_step(false, false, true),
-                Mode::lock_step(false, false, false),
-                Mode::lock_step(true, true, true),
-                Mode::lock_step(true, true, false),
-                Mode::pipelined(1),
-                Mode::pipelined(4),
-                Mode::sharded(4),
-                Mode::sharded(16),
-            ];
             let (jsonl0, hash0, out0, stats0) = traced(bench.as_ref(), workers, modes[0]);
             assert_eq!(
                 stats0.pool_round_handoffs,
@@ -155,8 +101,7 @@ fn round_modes_are_invisible_across_the_suite() {
                 "{}/{workers}w: sequential driver must not touch the pool",
                 bench.name()
             );
-            let mut pooled_stats = None;
-            for (i, mode) in modes.iter().enumerate().skip(1) {
+            for mode in &modes[1..] {
                 let tag = format!("{}/{workers}w {mode:?}", bench.name());
                 let (jsonl, hash, out, stats) = traced(bench.as_ref(), workers, *mode);
                 assert_eq!(jsonl0, jsonl, "{tag}: transcripts must be byte-identical");
@@ -164,8 +109,8 @@ fn round_modes_are_invisible_across_the_suite() {
                 assert_eq!(out0, out, "{tag}: program outputs must agree");
                 if mode.shards == 1 {
                     assert_eq!(
-                        semantic(&stats0),
-                        semantic(&stats),
+                        stats0.modulo_drive_mode(),
+                        stats.modulo_drive_mode(),
                         "{tag}: semantic RunStats must agree"
                     );
                 } else {
@@ -188,35 +133,10 @@ fn round_modes_are_invisible_across_the_suite() {
                     stats.attempts,
                     "{tag}: every attempt is an issued or re-queued ticket"
                 );
-                if mode.threaded && mode.worker_pool && workers > 1 {
-                    assert!(
-                        stats.pool_round_handoffs > 0,
-                        "{tag}: the pool must actually run rounds"
-                    );
-                }
-                if mode.incremental {
+                if workers > 1 {
                     assert_eq!(
-                        stats.snapshot_slots_copied, stats0.snapshot_slots_copied,
-                        "{tag}: snapshot economics are deterministic"
-                    );
-                } else {
-                    assert!(
-                        stats.snapshot_slots_copied >= stats0.snapshot_slots_copied,
-                        "{tag}: full snapshots can never copy less than \
-                         incremental ones"
-                    );
-                }
-                if i == POOLED {
-                    pooled_stats = Some(stats);
-                }
-                if mode.pipelined && mode.depth == 1 {
-                    // Depth 1 is the barrier: same driver, same stall model,
-                    // so even the masked telemetry must agree exactly.
-                    assert_eq!(
-                        pooled_stats.expect("pooled mode runs before pipelined ones"),
-                        stats,
-                        "{tag}: pipeline depth 1 must equal the pooled \
-                         lock-step run field for field"
+                        stats.pool_round_handoffs, stats.rounds,
+                        "{tag}: the pool must drive every round"
                     );
                 }
             }
