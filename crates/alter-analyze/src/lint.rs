@@ -29,11 +29,12 @@
 //! Diagnostics are deterministic: generation follows the summary's sorted
 //! edge order and the annotation's declaration order, and
 //! [`diagnostics_json`] renders them in a canonical single-line JSON form
-//! (fixed field order, no external deps) suitable for byte-comparison.
+//! (fixed field order, rendered through `alter_trace::json`) suitable for
+//! byte-comparison.
 
 use crate::classify::reduction_shaped;
 use alter_runtime::{Annotation, DepKind, LoopSummary, Policy};
-use std::fmt::Write as _;
+use alter_trace::Json;
 
 /// What the linter checks an annotation-shaped target against.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -112,35 +113,15 @@ impl std::fmt::Display for Diagnostic {
 pub fn diagnostics_json(diags: &[Diagnostic]) -> String {
     let mut out = String::new();
     for d in diags {
-        let _ = write!(
-            out,
-            "{{\"severity\":\"{}\",\"code\":\"{}\"",
-            d.severity.as_str(),
-            d.code
-        );
-        if let Some(obj) = d.obj {
-            let _ = write!(out, ",\"obj\":{obj}");
-        }
-        if let Some(label) = &d.label {
-            let _ = write!(out, ",\"label\":\"{}\"", escape(label));
-        }
-        let _ = writeln!(out, ",\"message\":\"{}\"}}", escape(&d.message));
-    }
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+        let mut members = vec![
+            ("severity".to_owned(), d.severity.as_str().into()),
+            ("code".to_owned(), d.code.into()),
+        ];
+        members.extend(d.obj.map(|obj| ("obj".to_owned(), obj.into())));
+        members.extend(d.label.as_deref().map(|l| ("label".to_owned(), l.into())));
+        members.push(("message".to_owned(), d.message.as_str().into()));
+        out.push_str(&Json::Obj(members).render_line());
+        out.push('\n');
     }
     out
 }

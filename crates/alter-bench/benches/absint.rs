@@ -12,9 +12,10 @@
 //! stops skipping at least 10 probes suite-wide, or if static pruning
 //! changes any workload's inferred annotations.
 
+use alter_bench::json_output;
 use alter_infer::{infer, InferConfig};
+use alter_trace::{json_obj, Json};
 use alter_workloads::{all_benchmarks, Scale};
-use std::fmt::Write as _;
 
 /// One workload's probe economics under the two pruning configurations.
 struct Measured {
@@ -70,31 +71,23 @@ fn measure_all() -> Vec<Measured> {
     rows
 }
 
-/// Renders the deterministic summary as pretty-printed JSON (hand-rolled;
-/// the workspace builds without `serde`).
-fn to_json(rows: &[Measured]) -> String {
-    let total_dynamic: u64 = rows.iter().map(|m| m.probes_dynamic).sum();
-    let total_combined: u64 = rows.iter().map(|m| m.probes_combined).sum();
-    let total_skips: usize = rows.iter().map(|m| m.static_skips).sum();
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"probes_dynamic_only\": {total_dynamic},");
-    let _ = writeln!(out, "  \"probes_combined\": {total_combined},");
-    let _ = writeln!(out, "  \"static_skips\": {total_skips},");
-    let _ = writeln!(out, "  \"workloads\": [");
-    for (i, m) in rows.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"probes_dynamic_only\": {},", m.probes_dynamic);
-        let _ = writeln!(out, "      \"probes_combined\": {},", m.probes_combined);
-        let _ = writeln!(out, "      \"static_skips\": {},", m.static_skips);
-        let skipped: Vec<String> = m.skipped.iter().map(|s| format!("\"{s}\"")).collect();
-        let _ = writeln!(out, "      \"skipped\": [{}]", skipped.join(", "));
-        let _ = writeln!(out, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
+/// The deterministic summary: suite totals, then one row per workload.
+fn summary(rows: &[Measured]) -> Json {
+    let row = |m: &Measured| {
+        json_obj! {
+            "name" => m.name.as_str(),
+            "probes_dynamic_only" => m.probes_dynamic,
+            "probes_combined" => m.probes_combined,
+            "static_skips" => m.static_skips,
+            "skipped" => Json::Arr(m.skipped.iter().map(|s| s.as_str().into()).collect()),
+        }
+    };
+    json_obj! {
+        "probes_dynamic_only" => rows.iter().map(|m| m.probes_dynamic).sum::<u64>(),
+        "probes_combined" => rows.iter().map(|m| m.probes_combined).sum::<u64>(),
+        "static_skips" => rows.iter().map(|m| m.static_skips).sum::<usize>(),
+        "workloads" => Json::Arr(rows.iter().map(row).collect()),
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 fn main() {
@@ -102,18 +95,7 @@ fn main() {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
-    let mut json_path = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            json_path = it.next().cloned();
-            if json_path.is_none() {
-                eprintln!("error: --json needs a path");
-                std::process::exit(1);
-            }
-        }
-    }
+    let emit = json_output();
 
     let rows = measure_all();
 
@@ -131,11 +113,5 @@ fn main() {
         total_skips
     );
 
-    let json = to_json(&rows);
-    if let Some(path) = json_path {
-        std::fs::write(&path, &json).expect("write JSON summary");
-        println!("wrote {path}");
-    } else {
-        print!("{json}");
-    }
+    emit(&summary(&rows));
 }

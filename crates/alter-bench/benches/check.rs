@@ -14,10 +14,10 @@
 //! at least 5× below naive enumeration on both workloads.
 
 use alter_analyze::{check_events, CheckConfig, CheckReport};
+use alter_bench::json_output;
 use alter_infer::Probe;
-use alter_trace::{Event, Recorder, RingRecorder};
+use alter_trace::{json_obj, Event, Json, Recorder, RingRecorder};
 use alter_workloads::{find_benchmark, Benchmark};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Worker count for the measured runs: wide rounds mean up to N! naive
@@ -89,33 +89,29 @@ fn measure(name: &'static str) -> Measured {
     }
 }
 
-/// Renders the deterministic summary as pretty-printed JSON (hand-rolled;
-/// the workspace builds without `serde`).
-fn to_json(rows: &[Measured]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"workers\": {WORKERS},");
-    let _ = writeln!(out, "  \"workloads\": [");
-    for (i, m) in rows.iter().enumerate() {
+/// The summary `--json` writes: deterministic counters only, no wall-clock.
+fn summary(rows: &[Measured]) -> Json {
+    let row = |m: &Measured| {
         let r = &m.report;
         let ratio = r.naive_schedules as f64 / r.explored.max(1) as f64;
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"annotation\": \"{}\",", m.annotation);
-        let _ = writeln!(out, "      \"rounds\": {},", r.rounds);
-        let _ = writeln!(out, "      \"tasks\": {},", r.tasks);
-        let _ = writeln!(out, "      \"naive_schedules\": {},", r.naive_schedules);
-        let _ = writeln!(out, "      \"explored\": {},", r.explored);
-        let _ = writeln!(out, "      \"pruned\": {},", r.pruned());
-        let _ = writeln!(out, "      \"pruning_ratio_x\": {ratio:.2},");
-        let _ = writeln!(out, "      \"flagged\": {},", r.flagged);
-        let _ = writeln!(out, "      \"scan_words\": {},", r.scan_words);
-        let _ = writeln!(out, "      \"sound\": {}", r.sound());
-        let _ = writeln!(out, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
+        json_obj! {
+            "name" => m.name,
+            "annotation" => m.annotation.as_str(),
+            "rounds" => r.rounds,
+            "tasks" => r.tasks,
+            "naive_schedules" => r.naive_schedules,
+            "explored" => r.explored,
+            "pruned" => r.pruned(),
+            "pruning_ratio_x" => Json::fixed2(ratio),
+            "flagged" => r.flagged,
+            "scan_words" => r.scan_words,
+            "sound" => r.sound(),
+        }
+    };
+    json_obj! {
+        "workers" => WORKERS,
+        "workloads" => Json::Arr(rows.iter().map(row).collect()),
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 fn main() {
@@ -123,26 +119,9 @@ fn main() {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
-    let mut json_path = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            json_path = it.next().cloned();
-            if json_path.is_none() {
-                eprintln!("error: --json needs a path");
-                std::process::exit(1);
-            }
-        }
-    }
+    let emit = json_output();
 
     let rows = vec![measure("genome"), measure("k-means")];
 
-    let json = to_json(&rows);
-    if let Some(path) = json_path {
-        std::fs::write(&path, &json).expect("write JSON summary");
-        println!("wrote {path}");
-    } else {
-        print!("{json}");
-    }
+    emit(&summary(&rows));
 }

@@ -14,11 +14,11 @@
 //! changes the trace *only* by the `phase_profile` events themselves (the
 //! hash with profiling stripped matches the unprofiled run).
 
+use alter_bench::json_output;
 use alter_infer::Probe;
 use alter_runtime::PhaseCosts;
-use alter_trace::{trace_hash, Event, Phase, Profile, Recorder, RingRecorder};
+use alter_trace::{json_obj, trace_hash, Event, Json, Phase, Profile, Recorder, RingRecorder};
 use alter_workloads::{genome::Genome, kmeans::KMeans, Benchmark, Scale};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 const WORKER_SWEEP: [usize; 3] = [1, 2, 8];
@@ -108,41 +108,31 @@ fn measure(name: &str, bench: &dyn Benchmark, workers: usize) -> Measured {
     }
 }
 
-/// Renders the deterministic summary as pretty-printed JSON (hand-rolled;
-/// the workspace builds without `serde`).
-fn to_json(rows: &[(String, String, Vec<Measured>)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"workloads\": [");
-    for (i, (name, annotation, runs)) in rows.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{name}\",");
-        let _ = writeln!(out, "      \"annotation\": \"{annotation}\",");
-        let _ = writeln!(out, "      \"configs\": [");
-        for (j, m) in runs.iter().enumerate() {
-            let _ = write!(
-                out,
-                "        {{\"workers\": {}, \"rounds\": {}, \"total_cost\": {}",
-                m.workers,
-                m.rounds,
-                m.profile.total()
-            );
-            for phase in [
-                Phase::Snapshot,
-                Phase::Execute,
-                Phase::Validate,
-                Phase::Commit,
-            ] {
-                let _ = write!(out, ", \"{}\": {}", phase.as_str(), m.profile.cost(phase));
-            }
-            let _ = writeln!(out, "}}{}", if j + 1 < runs.len() { "," } else { "" });
+/// The summary `--json` writes: deterministic counters only, no wall-clock.
+fn summary(rows: &[(String, String, Vec<Measured>)]) -> Json {
+    let config = |m: &Measured| {
+        let mut members = vec![
+            ("workers".to_owned(), m.workers.into()),
+            ("rounds".to_owned(), m.rounds.into()),
+            ("total_cost".to_owned(), m.profile.total().into()),
+        ];
+        let phases = [
+            Phase::Snapshot,
+            Phase::Execute,
+            Phase::Validate,
+            Phase::Commit,
+        ];
+        members.extend(phases.map(|p| (p.as_str().to_owned(), m.profile.cost(p).into())));
+        Json::Obj(members)
+    };
+    let workload = |(name, annotation, runs): &(String, String, Vec<Measured>)| {
+        json_obj! {
+            "name" => name.as_str(),
+            "annotation" => annotation.as_str(),
+            "configs" => Json::Arr(runs.iter().map(config).collect()),
         }
-        let _ = writeln!(out, "      ]");
-        let _ = writeln!(out, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    };
+    json_obj! { "workloads" => Json::Arr(rows.iter().map(workload).collect()) }
 }
 
 fn main() {
@@ -150,18 +140,7 @@ fn main() {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
-    let mut json_path = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            json_path = it.next().cloned();
-            if json_path.is_none() {
-                eprintln!("error: --json needs a path");
-                std::process::exit(1);
-            }
-        }
-    }
+    let emit = json_output();
 
     let genome = Genome::new(Scale::Inference);
     let kmeans = KMeans::new(Scale::Inference);
@@ -190,11 +169,5 @@ fn main() {
         rows.push((name.to_owned(), probe.describe(), runs));
     }
 
-    let json = to_json(&rows);
-    if let Some(path) = json_path {
-        std::fs::write(&path, &json).expect("write JSON summary");
-        println!("wrote {path}");
-    } else {
-        print!("{json}");
-    }
+    emit(&summary(&rows));
 }

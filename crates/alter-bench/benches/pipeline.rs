@@ -24,12 +24,12 @@
 //! Set `ALTER_BENCH_WALL=1` for an informational wall-clock column
 //! (best-of-3 ms, printed only — never part of the JSON or any assert).
 
+use alter_bench::json_output;
 use alter_heap::{Heap, ObjData};
 use alter_runtime::{Driver, ExecParams, LoopBuilder, RunStats};
 use alter_sim::{CostModel, SimObserver, StallModel};
-use alter_trace::{format_hash, trace_hash, Recorder, RingRecorder};
+use alter_trace::{format_hash, json_obj, trace_hash, Json, Recorder, RingRecorder};
 use alter_workloads::{find_benchmark, Benchmark};
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -189,62 +189,30 @@ fn print_row(m: &Measured) {
     );
 }
 
-/// Renders the deterministic summary as pretty-printed JSON (hand-rolled;
-/// the workspace builds without `serde`). Counters only — wall-clock never
-/// appears here, which is what makes the merged file drift-checkable. The
+/// The deterministic summary. Counters only — wall-clock never appears
+/// here, which is what makes the merged file drift-checkable. The
 /// `*_pipelined` keys name the streaming committer.
-fn to_json(rows: &[Measured]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"workers\": {WORKERS},");
-    let _ = writeln!(out, "  \"scenarios\": [");
-    for (i, m) in rows.iter().enumerate() {
+fn summary(rows: &[Measured]) -> Json {
+    let row = |m: &Measured| {
         let (b, p) = (m.stall.barrier, m.stall.streaming);
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"config\": \"{}\",", m.config);
-        let _ = writeln!(out, "      \"rounds\": {},", m.stats.rounds);
-        let _ = writeln!(
-            out,
-            "      \"committer_stall_units_barrier\": {},",
-            b.committer_stall_units
-        );
-        let _ = writeln!(
-            out,
-            "      \"committer_stall_units_pipelined\": {},",
-            p.committer_stall_units
-        );
-        let _ = writeln!(
-            out,
-            "      \"stall_reduction_x\": {:.2},",
-            m.stall_reduction()
-        );
-        let _ = writeln!(
-            out,
-            "      \"worker_idle_units_barrier\": {},",
-            b.worker_idle_units
-        );
-        let _ = writeln!(
-            out,
-            "      \"worker_idle_units_pipelined\": {},",
-            p.worker_idle_units
-        );
-        let _ = writeln!(out, "      \"tickets_issued\": {},", m.stats.tickets_issued);
-        let _ = writeln!(
-            out,
-            "      \"tickets_requeued\": {},",
-            m.stats.tickets_requeued
-        );
-        let _ = writeln!(
-            out,
-            "      \"trace_hash\": \"{}\"",
-            format_hash(m.trace_hash)
-        );
-        let _ = writeln!(out, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
+        json_obj! {
+            "name" => m.name,
+            "config" => m.config.as_str(),
+            "rounds" => m.stats.rounds,
+            "committer_stall_units_barrier" => b.committer_stall_units,
+            "committer_stall_units_pipelined" => p.committer_stall_units,
+            "stall_reduction_x" => Json::fixed2(m.stall_reduction()),
+            "worker_idle_units_barrier" => b.worker_idle_units,
+            "worker_idle_units_pipelined" => p.worker_idle_units,
+            "tickets_issued" => m.stats.tickets_issued,
+            "tickets_requeued" => m.stats.tickets_requeued,
+            "trace_hash" => format_hash(m.trace_hash),
+        }
+    };
+    json_obj! {
+        "workers" => WORKERS,
+        "scenarios" => Json::Arr(rows.iter().map(row).collect()),
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 fn main() {
@@ -252,18 +220,7 @@ fn main() {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
-    let mut json_path = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            json_path = it.next().cloned();
-            if json_path.is_none() {
-                eprintln!("error: --json needs a path");
-                std::process::exit(1);
-            }
-        }
-    }
+    let emit = json_output();
 
     let genome = find_benchmark("genome").expect("genome is registered");
     let labyrinth = find_benchmark("labyrinth").expect("labyrinth is registered");
@@ -293,11 +250,5 @@ fn main() {
         skewed.stall_reduction()
     );
 
-    let json = to_json(&rows);
-    if let Some(path) = json_path {
-        std::fs::write(&path, &json).expect("write JSON summary");
-        println!("wrote {path}");
-    } else {
-        print!("{json}");
-    }
+    emit(&summary(&rows));
 }

@@ -16,11 +16,11 @@
 //! drive every round, or if incremental snapshots do not cut the slots
 //! copied at least 5× on Genome and K-means.
 
+use alter_bench::json_output;
 use alter_infer::Probe;
 use alter_runtime::RunStats;
-use alter_trace::{format_hash, trace_hash, Recorder, RingRecorder};
+use alter_trace::{format_hash, json_obj, trace_hash, Json, Recorder, RingRecorder};
 use alter_workloads::{genome::Genome, kmeans::KMeans, Benchmark, Scale};
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -108,50 +108,26 @@ fn measure(name: &'static str, bench: &dyn Benchmark) -> Measured {
     }
 }
 
-/// Renders the deterministic summary as pretty-printed JSON (hand-rolled;
-/// the workspace builds without `serde`).
-fn to_json(rows: &[Measured]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"workers\": {WORKERS},");
-    let _ = writeln!(out, "  \"workloads\": [");
-    for (i, m) in rows.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"annotation\": \"{}\",", m.annotation);
-        let _ = writeln!(out, "      \"chunk\": {},", m.chunk);
-        let _ = writeln!(out, "      \"rounds\": {},", m.rounds);
-        let _ = writeln!(
-            out,
-            "      \"snapshot_slots_copied_full\": {},",
-            m.full_slots()
-        );
-        let _ = writeln!(
-            out,
-            "      \"snapshot_slots_copied_incremental\": {},",
-            m.stats.snapshot_slots_copied
-        );
-        let _ = writeln!(
-            out,
-            "      \"snapshot_pages_reused\": {},",
-            m.stats.snapshot_pages_reused
-        );
-        let _ = writeln!(out, "      \"snapshot_reduction_x\": {:.2},", m.reduction());
-        let _ = writeln!(
-            out,
-            "      \"pool_round_handoffs\": {},",
-            m.stats.pool_round_handoffs
-        );
-        let _ = writeln!(
-            out,
-            "      \"trace_hash\": \"{}\"",
-            format_hash(m.trace_hash)
-        );
-        let _ = writeln!(out, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
+/// The summary `--json` writes: deterministic counters only, no wall-clock.
+fn summary(rows: &[Measured]) -> Json {
+    let row = |m: &Measured| {
+        json_obj! {
+            "name" => m.name,
+            "annotation" => m.annotation.as_str(),
+            "chunk" => m.chunk,
+            "rounds" => m.rounds,
+            "snapshot_slots_copied_full" => m.full_slots(),
+            "snapshot_slots_copied_incremental" => m.stats.snapshot_slots_copied,
+            "snapshot_pages_reused" => m.stats.snapshot_pages_reused,
+            "snapshot_reduction_x" => Json::fixed2(m.reduction()),
+            "pool_round_handoffs" => m.stats.pool_round_handoffs,
+            "trace_hash" => format_hash(m.trace_hash),
+        }
+    };
+    json_obj! {
+        "workers" => WORKERS,
+        "workloads" => Json::Arr(rows.iter().map(row).collect()),
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 fn main() {
@@ -159,18 +135,7 @@ fn main() {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
-    let mut json_path = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            json_path = it.next().cloned();
-            if json_path.is_none() {
-                eprintln!("error: --json needs a path");
-                std::process::exit(1);
-            }
-        }
-    }
+    let emit = json_output();
 
     let genome = Genome::new(Scale::Inference);
     let kmeans = KMeans::new(Scale::Inference);
@@ -190,11 +155,5 @@ fn main() {
         println!("{} snapshot-copy reduction: {reduction:.1}x", m.name);
     }
 
-    let json = to_json(&rows);
-    if let Some(path) = json_path {
-        std::fs::write(&path, &json).expect("write JSON summary");
-        println!("wrote {path}");
-    } else {
-        print!("{json}");
-    }
+    emit(&summary(&rows));
 }

@@ -23,13 +23,13 @@
 //! at 1/2/4/8 workers). Wall-clock numbers are informational only: they
 //! are machine-dependent and never enter the JSON or any drift check.
 
+use alter_bench::json_output;
 use alter_infer::Probe;
 use alter_runtime::RunStats;
-use alter_trace::{format_hash, trace_hash, Recorder, RingRecorder};
+use alter_trace::{format_hash, json_obj, trace_hash, Json, Recorder, RingRecorder};
 use alter_workloads::{
     find_benchmark, genome::Genome, kmeans::KMeans, labyrinth::Labyrinth, Benchmark, Scale,
 };
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -111,62 +111,30 @@ fn measure(name: &'static str, chunk: usize) -> Measured {
     }
 }
 
-/// Renders the deterministic summary as pretty-printed JSON (hand-rolled;
-/// the workspace builds without `serde`).
-fn to_json(rows: &[Measured]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"workers\": {WORKERS},");
-    let _ = writeln!(out, "  \"shards\": {SHARDS_HI},");
-    let _ = writeln!(out, "  \"workloads\": [");
-    for (i, m) in rows.iter().enumerate() {
-        let reduction =
-            m.unsharded.exact_scan_words as f64 / m.sharded.exact_scan_words.max(1) as f64;
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"annotation\": \"{}\",", m.annotation);
-        let _ = writeln!(out, "      \"chunk\": {},", m.chunk);
-        let _ = writeln!(
-            out,
-            "      \"validate_words\": {},",
-            m.sharded.validate_words
-        );
-        let _ = writeln!(
-            out,
-            "      \"exact_scan_words_unsharded\": {},",
-            m.unsharded.exact_scan_words
-        );
-        let _ = writeln!(
-            out,
-            "      \"exact_scan_words_sharded\": {},",
-            m.sharded.exact_scan_words
-        );
-        let _ = writeln!(out, "      \"scan_reduction_x\": {reduction:.2},");
-        let _ = writeln!(
-            out,
-            "      \"shard_validate_words\": {},",
-            m.sharded.shard_validate_words
-        );
-        let _ = writeln!(
-            out,
-            "      \"shard_commit_batches\": {},",
-            m.sharded.shard_commit_batches
-        );
-        let _ = writeln!(
-            out,
-            "      \"shard_imbalance_max\": {},",
-            m.sharded.shard_imbalance_max
-        );
-        let _ = writeln!(
-            out,
-            "      \"trace_hash\": \"{}\"",
-            format_hash(m.trace_hash)
-        );
-        let _ = writeln!(out, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
+/// The summary `--json` writes: deterministic counters only, no wall-clock.
+fn summary(rows: &[Measured]) -> Json {
+    let row = |m: &Measured| {
+        let (u, s) = (&m.unsharded, &m.sharded);
+        let reduction = u.exact_scan_words as f64 / s.exact_scan_words.max(1) as f64;
+        json_obj! {
+            "name" => m.name,
+            "annotation" => m.annotation.as_str(),
+            "chunk" => m.chunk,
+            "validate_words" => s.validate_words,
+            "exact_scan_words_unsharded" => u.exact_scan_words,
+            "exact_scan_words_sharded" => s.exact_scan_words,
+            "scan_reduction_x" => Json::fixed2(reduction),
+            "shard_validate_words" => s.shard_validate_words,
+            "shard_commit_batches" => s.shard_commit_batches,
+            "shard_imbalance_max" => s.shard_imbalance_max,
+            "trace_hash" => format_hash(m.trace_hash),
+        }
+    };
+    json_obj! {
+        "workers" => WORKERS,
+        "shards" => SHARDS_HI,
+        "workloads" => Json::Arr(rows.iter().map(row).collect()),
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 /// Best-of-3 wall time of one recorder-free threaded probe run, in
@@ -234,18 +202,7 @@ fn main() {
         wall_scaling_table();
         return;
     }
-    let mut json_path = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            json_path = it.next().cloned();
-            if json_path.is_none() {
-                eprintln!("error: --json needs a path");
-                std::process::exit(1);
-            }
-        }
-    }
+    let emit = json_output();
 
     let rows = vec![measure("genome", 4), measure("k-means", 4)];
 
@@ -264,11 +221,5 @@ fn main() {
         g.unsharded.exact_scan_words as f64 / g.sharded.exact_scan_words.max(1) as f64
     );
 
-    let json = to_json(&rows);
-    if let Some(path) = json_path {
-        std::fs::write(&path, &json).expect("write JSON summary");
-        println!("wrote {path}");
-    } else {
-        print!("{json}");
-    }
+    emit(&summary(&rows));
 }

@@ -16,11 +16,11 @@
 //! The run doubles as an acceptance check: it fails if the fingerprints do
 //! not at least halve exact-scan work on Genome.
 
+use alter_bench::json_output;
 use alter_infer::Probe;
 use alter_runtime::RunStats;
-use alter_trace::{format_hash, trace_hash, Recorder, RingRecorder};
+use alter_trace::{format_hash, json_obj, trace_hash, Json, Recorder, RingRecorder};
 use alter_workloads::{genome::Genome, kmeans::KMeans, Benchmark, Scale};
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -95,50 +95,30 @@ fn measure(name: &'static str, bench: &dyn Benchmark, chunk: usize) -> Measured 
     }
 }
 
-/// Renders the deterministic summary as pretty-printed JSON (hand-rolled;
-/// the workspace builds without `serde`).
-fn to_json(rows: &[Measured]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"workers\": {WORKERS},");
-    let _ = writeln!(out, "  \"workloads\": [");
-    for (i, m) in rows.iter().enumerate() {
+/// The summary `--json` writes: deterministic counters only, no wall-clock.
+fn summary(rows: &[Measured]) -> Json {
+    let row = |m: &Measured| {
         let s = &m.stats;
         let reduction = s.validate_words as f64 / s.exact_scan_words.max(1) as f64;
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", m.name);
-        let _ = writeln!(out, "      \"annotation\": \"{}\",", m.annotation);
-        let _ = writeln!(out, "      \"chunk\": {},", m.chunk);
-        let _ = writeln!(out, "      \"cost_units\": {},", m.cost_units);
-        let _ = writeln!(out, "      \"validate_words\": {},", s.validate_words);
-        let _ = writeln!(
-            out,
-            "      \"exact_scan_words_exact\": {},",
-            s.validate_words
-        );
-        let _ = writeln!(
-            out,
-            "      \"exact_scan_words_fast\": {},",
-            s.exact_scan_words
-        );
-        let _ = writeln!(out, "      \"scan_reduction_x\": {reduction:.2},");
-        let _ = writeln!(out, "      \"fingerprint_hits\": {},", s.fingerprint_hits);
-        let _ = writeln!(
-            out,
-            "      \"fingerprint_rejects\": {},",
-            s.fingerprint_rejects
-        );
-        let _ = writeln!(out, "      \"pool_reuses\": {},", s.pool_reuses);
-        let _ = writeln!(
-            out,
-            "      \"trace_hash\": \"{}\"",
-            format_hash(m.trace_hash)
-        );
-        let _ = writeln!(out, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
+        json_obj! {
+            "name" => m.name,
+            "annotation" => m.annotation.as_str(),
+            "chunk" => m.chunk,
+            "cost_units" => m.cost_units,
+            "validate_words" => s.validate_words,
+            "exact_scan_words_exact" => s.validate_words,
+            "exact_scan_words_fast" => s.exact_scan_words,
+            "scan_reduction_x" => Json::fixed2(reduction),
+            "fingerprint_hits" => s.fingerprint_hits,
+            "fingerprint_rejects" => s.fingerprint_rejects,
+            "pool_reuses" => s.pool_reuses,
+            "trace_hash" => format_hash(m.trace_hash),
+        }
+    };
+    json_obj! {
+        "workers" => WORKERS,
+        "workloads" => Json::Arr(rows.iter().map(row).collect()),
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 fn main() {
@@ -146,18 +126,7 @@ fn main() {
     if std::env::args().any(|a| a == "--test") {
         return;
     }
-    let mut json_path = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--json" {
-            json_path = it.next().cloned();
-            if json_path.is_none() {
-                eprintln!("error: --json needs a path");
-                std::process::exit(1);
-            }
-        }
-    }
+    let emit = json_output();
 
     let genome = Genome::new(Scale::Inference);
     let kmeans = KMeans::new(Scale::Inference);
@@ -181,11 +150,5 @@ fn main() {
         g.validate_words as f64 / g.exact_scan_words.max(1) as f64
     );
 
-    let json = to_json(&rows);
-    if let Some(path) = json_path {
-        std::fs::write(&path, &json).expect("write JSON summary");
-        println!("wrote {path}");
-    } else {
-        print!("{json}");
-    }
+    emit(&summary(&rows));
 }

@@ -25,6 +25,7 @@ use alter_analyze::absint::{cross_validate, interpret, static_verdict, LoopSpec,
 use alter_analyze::AnalyzeConfig;
 use alter_infer::{InferConfig, Model};
 use alter_runtime::DepKind;
+use alter_trace::{json_obj, Json};
 use alter_workloads::{all_benchmarks, Benchmark, Scale};
 use std::process::ExitCode;
 
@@ -77,7 +78,7 @@ fn edge_count(summary: &StaticSummary, kind: DepKind) -> usize {
 
 /// The baseline entry for one workload: stable key order, verdicts via
 /// `StaticVerdict::class()` at the inference geometry.
-fn static_entry(bench: &dyn Benchmark, a: &Analyzed, icfg: &InferConfig) -> String {
+fn static_entry(bench: &dyn Benchmark, a: &Analyzed, icfg: &InferConfig) -> Json {
     let acfg = AnalyzeConfig {
         workers: icfg.workers,
         chunk: icfg.chunk,
@@ -85,50 +86,38 @@ fn static_entry(bench: &dyn Benchmark, a: &Analyzed, icfg: &InferConfig) -> Stri
         budget_words: bench.tracked_budget_words().unwrap_or(icfg.budget_words),
         ..AnalyzeConfig::default()
     };
-    let verdicts: Vec<String> = Model::TABLE3
-        .into_iter()
-        .map(|model| {
-            let p = model.exec_params(icfg.workers, icfg.chunk);
-            let v = static_verdict(&a.summary, p.conflict, &acfg);
-            format!(
-                "      \"{}\": \"{}\"",
-                model.to_string().to_ascii_lowercase(),
-                v.class()
-            )
-        })
-        .collect();
-    format!(
-        "  {{\n    \"name\": \"{}\",\n    \"iterations\": {},\n    \"regions\": {},\n    \"edges\": {{\"raw\": {}, \"waw\": {}, \"war\": {}}},\n    \"may_iter_words\": {{\"rw\": {}, \"w\": {}}},\n    \"must_first_words\": {{\"rw\": {}, \"w\": {}}},\n    \"allocates\": {},\n    \"verdicts\": {{\n{}\n    }},\n    \"cross_validation\": \"{}\"\n  }}",
-        a.name,
-        a.summary.iterations,
-        a.spec.regions.len(),
-        edge_count(&a.summary, DepKind::Raw),
-        edge_count(&a.summary, DepKind::Waw),
-        edge_count(&a.summary, DepKind::War),
-        a.summary.may_iter_words_rw,
-        a.summary.may_iter_words_w,
-        a.summary.must_first_words_rw,
-        a.summary.must_first_words_w,
-        a.summary.allocates,
-        verdicts.join(",\n"),
-        if a.violations.is_empty() { "ok" } else { "FAIL" }
-    )
+    let verdicts = Model::TABLE3.into_iter().map(|model| {
+        let p = model.exec_params(icfg.workers, icfg.chunk);
+        let v = static_verdict(&a.summary, p.conflict, &acfg);
+        (model.to_string().to_ascii_lowercase(), v.class().into())
+    });
+    let s = &a.summary;
+    json_obj! {
+        "name" => a.name.as_str(),
+        "iterations" => s.iterations,
+        "regions" => a.spec.regions.len(),
+        "edges" => json_obj! {
+            "raw" => edge_count(s, DepKind::Raw),
+            "waw" => edge_count(s, DepKind::Waw),
+            "war" => edge_count(s, DepKind::War),
+        },
+        "may_iter_words" => json_obj! { "rw" => s.may_iter_words_rw, "w" => s.may_iter_words_w },
+        "must_first_words" => json_obj! { "rw" => s.must_first_words_rw, "w" => s.must_first_words_w },
+        "allocates" => s.allocates,
+        "verdicts" => Json::Obj(verdicts.collect()),
+        "cross_validation" => if a.violations.is_empty() { "ok" } else { "FAIL" },
+    }
 }
 
 /// Renders the full baseline file: stable key order, trailing newline.
 fn static_json(benches: &[Box<dyn Benchmark>], analyzed: &[Analyzed]) -> String {
     let icfg = InferConfig::default();
-    let entries: Vec<String> = benches
-        .iter()
-        .zip(analyzed)
-        .map(|(b, a)| static_entry(b.as_ref(), a, &icfg))
-        .collect();
-    format!(
-        "{{\n\"geometry\": {{\"workers\": {}, \"chunk\": {}}},\n\"workloads\": [\n{}\n]\n}}\n",
-        icfg.workers,
-        icfg.chunk,
-        entries.join(",\n")
-    )
+    let entries = benches.iter().zip(analyzed);
+    json_obj! {
+        "geometry" => json_obj! { "workers" => icfg.workers, "chunk" => icfg.chunk },
+        "workloads" => Json::Arr(entries.map(|(b, a)| static_entry(b.as_ref(), a, &icfg)).collect()),
+    }
+    .render_pretty()
 }
 
 fn main() -> ExitCode {

@@ -1,4 +1,4 @@
-//! Strict JSON well-formedness checker for the merged benchmark profiles.
+//! Strict JSON well-formedness checker for the committed JSON artifacts.
 //!
 //! ```text
 //! cargo run -p alter-bench --bin alter-check-json -- <file>...
@@ -7,213 +7,12 @@
 //! `scripts/bench.sh` assembles `BENCH_runtime.json` by splicing the
 //! per-bench summaries together with `printf`/`cat` — a concatenation that
 //! silently produces garbage if a bench ever changes its output shape. This
-//! checker makes that failure loud: it parses each file with a full
-//! recursive-descent JSON grammar (objects, arrays, strings with escapes,
-//! numbers including floats and exponents, literals) and exits non-zero
-//! with a line/column diagnostic on the first violation. Hand-rolled
-//! because the workspace deliberately builds without serde or any other
-//! external dependency.
+//! checker makes that failure loud: it parses each file with the strict
+//! parser in `alter_trace::json` and exits non-zero with a line/column
+//! diagnostic on the first violation.
 
+use alter_trace::json;
 use std::process::ExitCode;
-
-/// Parses `text` as a single JSON value (with nothing but whitespace after
-/// it) and returns the first error as `"line L, column C: message"`.
-fn check_json(text: &str) -> Result<(), String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.pos < p.bytes.len() {
-        return Err(p.err("trailing data after the top-level value"));
-    }
-    Ok(())
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: &str) -> String {
-        let mut line = 1;
-        let mut col = 1;
-        for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
-            if b == b'\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-        }
-        format!("line {line}, column {col}: {msg}")
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8, what: &str) -> Result<(), String> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {what}")))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("expected a JSON value")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{', "'{'")?;
-        self.skip_ws();
-        if self.eat(b'}') {
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected a string object key"));
-            }
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':', "':' after object key")?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            return self.expect(b'}', "',' or '}' in object");
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[', "'['")?;
-        self.skip_ws();
-        if self.eat(b']') {
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            return self.expect(b']', "',' or ']' in array");
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"', "'\"'")?;
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                if !matches!(
-                                    self.peek(),
-                                    Some(b'0'..=b'9' | b'a'..=b'f' | b'A'..=b'F')
-                                ) {
-                                    return Err(self.err("\\u needs four hex digits"));
-                                }
-                                self.pos += 1;
-                            }
-                        }
-                        _ => return Err(self.err("invalid escape sequence")),
-                    }
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(_) => self.pos += 1,
-            }
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{word}`")))
-        }
-    }
-
-    fn digits(&mut self) -> Result<(), String> {
-        if !matches!(self.peek(), Some(b'0'..=b'9')) {
-            return Err(self.err("expected a digit"));
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        Ok(())
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        self.eat(b'-');
-        // Integer part: a lone 0, or a nonzero digit followed by more.
-        if self.eat(b'0') {
-            if matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("leading zeros are not allowed"));
-            }
-        } else {
-            self.digits()?;
-        }
-        if self.eat(b'.') {
-            self.digits()?;
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            self.digits()?;
-        }
-        Ok(())
-    }
-}
 
 fn main() -> ExitCode {
     let paths: Vec<String> = std::env::args().skip(1).collect();
@@ -229,8 +28,8 @@ fn main() -> ExitCode {
                 eprintln!("{path}: cannot read: {e}");
                 ok = false;
             }
-            Ok(text) => match check_json(&text) {
-                Ok(()) => println!("{path}: valid JSON ({} bytes)", text.len()),
+            Ok(text) => match json::parse(&text) {
+                Ok(_) => println!("{path}: valid JSON ({} bytes)", text.len()),
                 Err(e) => {
                     eprintln!("{path}: {e}");
                     ok = false;
@@ -242,52 +41,5 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::check_json;
-
-    #[test]
-    fn accepts_the_bench_profile_shapes() {
-        for ok in [
-            "{}",
-            "[]",
-            "null",
-            " {\"a\": [1, -2.5, 3e-7, 0.25], \"b\": {\"c\": \"x\"}} ",
-            "{\"validation\":\n{\"workers\": 8, \"reduction_x\": 12.75},\n\"phases\":\n[]}",
-            "{\"hash\": \"1f2e3d4c5b6a7988\", \"note\": \"a\\\"b\\\\c\\u00e9\"}",
-            "[true, false, null, 0, -0.5, 1e9, 1E+2]",
-        ] {
-            assert_eq!(check_json(ok), Ok(()), "should accept: {ok}");
-        }
-    }
-
-    #[test]
-    fn rejects_broken_merges_with_a_location() {
-        // The exact failure mode the bench.sh printf-merge can produce:
-        // a missing comma between two spliced documents.
-        let merged = "{\"validation\":\n{\"workers\": 8}\n\"phases\":\n{}}";
-        let err = check_json(merged).unwrap_err();
-        assert!(err.starts_with("line 3"), "got: {err}");
-
-        for (bad, why) in [
-            ("", "empty input"),
-            ("{", "unterminated object"),
-            ("{\"a\" 1}", "missing colon"),
-            ("{\"a\": 1,}", "trailing comma"),
-            ("{a: 1}", "unquoted key"),
-            ("[1 2]", "missing comma"),
-            ("01", "leading zero"),
-            ("1.", "bare decimal point"),
-            ("1e", "bare exponent"),
-            ("\"abc", "unterminated string"),
-            ("\"\\x\"", "bad escape"),
-            ("truthy", "trailing junk after literal"),
-            ("{} {}", "two top-level values"),
-        ] {
-            assert!(check_json(bad).is_err(), "should reject ({why}): {bad:?}");
-        }
     }
 }

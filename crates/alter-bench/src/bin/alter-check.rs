@@ -19,9 +19,8 @@
 
 use alter_analyze::{check_events, CheckConfig, CheckReport, DEFAULT_SCHEDULE_BUDGET};
 use alter_infer::{Model, Probe};
-use alter_trace::{Event, Journal, JournalHeader, Recorder, RingRecorder};
+use alter_trace::{json_obj, Event, Journal, JournalHeader, Json, Recorder, RingRecorder};
 use alter_workloads::{all_benchmarks, find_benchmark, Benchmark, Scale};
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -163,31 +162,28 @@ fn write_counterexample(r: &CheckedRun, prefix: &str) -> Result<(), String> {
 /// pruned / flagged counters and the soundness verdict. Everything here is
 /// a deterministic count — no wall-clock — so the file drift-checks in CI.
 fn check_json(workers: usize, max_schedules: u64, runs: &[CheckedRun]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n\"schema\": \"alter-check-v1\",\n");
-    let _ = writeln!(s, "\"workers\": {workers},");
-    let _ = writeln!(s, "\"max_schedules_per_round\": {max_schedules},");
-    s.push_str("\"workloads\": [\n");
-    for (i, r) in runs.iter().enumerate() {
+    let row = |r: &CheckedRun| {
         let rep = &r.report;
-        let _ = write!(
-            s,
-            "{{\"name\": \"{}\", \"annotation\": \"{}\", \"rounds\": {}, \"tasks\": {}, \"naive_schedules\": {}, \"explored\": {}, \"pruned\": {}, \"flagged\": {}, \"budget_hits\": {}, \"sound\": {}",
-            r.name,
-            r.annotation,
-            rep.rounds,
-            rep.tasks,
-            rep.naive_schedules,
-            rep.explored,
-            rep.pruned(),
-            rep.flagged,
-            rep.budget_hits,
-            rep.sound()
-        );
-        s.push_str(if i + 1 < runs.len() { "},\n" } else { "}\n" });
+        json_obj! {
+            "name" => r.name.as_str(),
+            "annotation" => r.annotation.as_str(),
+            "rounds" => rep.rounds,
+            "tasks" => rep.tasks,
+            "naive_schedules" => rep.naive_schedules,
+            "explored" => rep.explored,
+            "pruned" => rep.pruned(),
+            "flagged" => rep.flagged,
+            "budget_hits" => rep.budget_hits,
+            "sound" => rep.sound(),
+        }
+    };
+    json_obj! {
+        "schema" => "alter-check-v1",
+        "workers" => workers,
+        "max_schedules_per_round" => max_schedules,
+        "workloads" => Json::Arr(runs.iter().map(row).collect()),
     }
-    s.push_str("]\n}\n");
-    s
+    .render_pretty()
 }
 
 struct CheckArgs {

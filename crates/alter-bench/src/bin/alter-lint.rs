@@ -28,8 +28,9 @@
 use alter_analyze::{lint, predict, sanitize, AnalyzeConfig, LintTarget, SanitizeConfig};
 use alter_infer::{InferConfig, Model};
 use alter_runtime::Annotation;
-use alter_trace::{Recorder, RingRecorder};
+use alter_trace::{json_obj, Json, Recorder, RingRecorder};
 use alter_workloads::{all_benchmarks, Benchmark, Scale};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -96,7 +97,7 @@ fn lint_one(bench: &dyn Benchmark, workers: usize) -> (usize, Vec<String>) {
 
 /// The classifier's verdict line for one workload at the inference
 /// geometry, as committed to `ANALYSIS.json`.
-fn analysis_entry(bench: &dyn Benchmark, icfg: &InferConfig) -> String {
+fn analysis_entry(bench: &dyn Benchmark, icfg: &InferConfig) -> Json {
     let summary = bench.probe_summary();
     let dep = summary.report();
     let acfg = AnalyzeConfig {
@@ -106,16 +107,11 @@ fn analysis_entry(bench: &dyn Benchmark, icfg: &InferConfig) -> String {
         budget_words: bench.tracked_budget_words().unwrap_or(icfg.budget_words),
         ..AnalyzeConfig::default()
     };
-    let mut verdicts = Vec::new();
-    for model in Model::TABLE3 {
+    let verdicts = Model::TABLE3.into_iter().map(|model| {
         let p = model.exec_params(icfg.workers, icfg.chunk);
         let v = predict(&summary, p.conflict, p.order, &[], &acfg);
-        verdicts.push(format!(
-            "      \"{}\": \"{}\"",
-            model.to_string().to_ascii_lowercase(),
-            v.class()
-        ));
-    }
+        (model.to_string().to_ascii_lowercase(), v.class().into())
+    });
     let (model, reduction) = bench.best_config();
     let best = match &reduction {
         None => model.to_string(),
@@ -134,46 +130,38 @@ fn analysis_entry(bench: &dyn Benchmark, icfg: &InferConfig) -> String {
     // even for workloads with thousands of edges (SSCA2). The full
     // messages are available from the library (`diagnostics_json`).
     let diags = lint(&summary, &target);
-    let mut counts: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
+    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
     for d in &diags {
         *counts
             .entry(format!("{}:{}", d.severity.as_str(), d.code))
             .or_insert(0) += 1;
     }
-    let count_lines: Vec<String> = counts
-        .iter()
-        .map(|(k, v)| format!("      \"{k}\": {v}"))
-        .collect();
-    format!(
-        "  {{\n    \"name\": \"{}\",\n    \"dep\": {{\"raw\": {}, \"waw\": {}, \"war\": {}, \"cell\": \"{}\"}},\n    \"verdicts\": {{\n{}\n    }},\n    \"best\": \"[{}]\",\n    \"diagnostics\": {{\n{}\n    }}\n  }}",
-        bench.name(),
-        dep.raw,
-        dep.waw,
-        dep.war,
-        if dep.any() { "Yes" } else { "No" },
-        verdicts.join(",\n"),
-        best,
-        if count_lines.is_empty() {
-            "      \"none\": 0".to_owned()
-        } else {
-            count_lines.join(",\n")
-        }
-    )
+    if counts.is_empty() {
+        counts.insert("none".to_owned(), 0);
+    }
+    json_obj! {
+        "name" => bench.name(),
+        "dep" => json_obj! {
+            "raw" => dep.raw,
+            "waw" => dep.waw,
+            "war" => dep.war,
+            "cell" => if dep.any() { "Yes" } else { "No" },
+        },
+        "verdicts" => Json::Obj(verdicts.collect()),
+        "best" => format!("[{best}]"),
+        "diagnostics" => Json::Obj(counts.into_iter().map(|(k, n)| (k, n.into())).collect()),
+    }
 }
 
 /// Renders the full baseline file: stable key order, trailing newline.
 fn analysis_json(benches: &[Box<dyn Benchmark>]) -> String {
     let icfg = InferConfig::default();
-    let entries: Vec<String> = benches
-        .iter()
-        .map(|b| analysis_entry(b.as_ref(), &icfg))
-        .collect();
-    format!(
-        "{{\n\"geometry\": {{\"workers\": {}, \"chunk\": {}}},\n\"workloads\": [\n{}\n]\n}}\n",
-        icfg.workers,
-        icfg.chunk,
-        entries.join(",\n")
-    )
+    let entries = benches.iter().map(|b| analysis_entry(b.as_ref(), &icfg));
+    json_obj! {
+        "geometry" => json_obj! { "workers" => icfg.workers, "chunk" => icfg.chunk },
+        "workloads" => Json::Arr(entries.collect()),
+    }
+    .render_pretty()
 }
 
 fn main() -> ExitCode {

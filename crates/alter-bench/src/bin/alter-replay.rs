@@ -26,11 +26,10 @@ use alter_heap::normalize_shards;
 use alter_infer::{Model, Probe};
 use alter_runtime::replay::{diverge_bisect, ReplayOutcome};
 use alter_trace::{
-    format_hash, trace_hash, Event, Journal, JournalHeader, Phase, Profile, Recorder, RingRecorder,
-    WallProfile, PHASE_COUNT,
+    format_hash, json_obj, trace_hash, Event, Journal, JournalHeader, Json, Phase, Profile,
+    Recorder, RingRecorder, WallProfile, PHASE_COUNT,
 };
 use alter_workloads::{all_benchmarks, find_benchmark, Benchmark, Scale};
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -336,27 +335,23 @@ fn profile_run(
 /// cost-unit totals. Pure cost units — wall-clock never appears here, which
 /// is what makes the file safe to drift-check in CI.
 fn profile_json(workers: usize, runs: &[ProfiledRun]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n\"schema\": \"alter-profile-v1\",\n");
-    let _ = writeln!(s, "\"workers\": {workers},");
-    s.push_str("\"workloads\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = write!(
-            s,
-            "{{\"name\": \"{}\", \"annotation\": \"{}\", \"trace_hash\": \"{}\", \"rounds\": {}, \"total_cost\": {}",
-            r.name,
-            r.annotation,
-            format_hash(r.hash),
-            r.profile.rounds(),
-            r.profile.total()
-        );
-        for phase in Phase::ALL {
-            let _ = write!(s, ", \"{}\": {}", phase.as_str(), r.profile.cost(phase));
-        }
-        s.push_str(if i + 1 < runs.len() { "},\n" } else { "}\n" });
+    let row = |r: &ProfiledRun| {
+        let mut members = vec![
+            ("name".to_owned(), r.name.as_str().into()),
+            ("annotation".to_owned(), r.annotation.as_str().into()),
+            ("trace_hash".to_owned(), format_hash(r.hash).into()),
+            ("rounds".to_owned(), r.profile.rounds().into()),
+            ("total_cost".to_owned(), r.profile.total().into()),
+        ];
+        members.extend(Phase::ALL.map(|p| (p.as_str().to_owned(), r.profile.cost(p).into())));
+        Json::Obj(members)
+    };
+    json_obj! {
+        "schema" => "alter-profile-v1",
+        "workers" => workers,
+        "workloads" => Json::Arr(runs.iter().map(row).collect()),
     }
-    s.push_str("]\n}\n");
-    s
+    .render_pretty()
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {

@@ -18,6 +18,7 @@
 
 use alter_infer::{infer, InferConfig, Model, Probe};
 use alter_sim::SimClock;
+use alter_trace::Json;
 use alter_workloads::gauss_seidel::GaussSeidel;
 use alter_workloads::kmeans::KMeans;
 use alter_workloads::manual;
@@ -27,6 +28,32 @@ use std::fmt::Write as _;
 
 /// Worker counts the speedup figures sweep (the paper's x-axis runs to 8).
 pub const WORKER_SWEEP: [usize; 5] = [1, 2, 4, 6, 8];
+
+/// The output step of a deterministic bench. Reads `--json <path>` from
+/// the command line now, exiting 1 when the path is missing, and returns
+/// the step: it writes the summary to that path, or prints it when the
+/// flag is absent. A following flag is not a path: `cargo bench` appends
+/// `--bench` to the bench's arguments.
+pub fn json_output() -> impl FnOnce(&Json) {
+    let args: Vec<String> = std::env::args().collect();
+    let path = args.iter().position(|a| a == "--json").map(|i| {
+        let path = args.get(i + 1).filter(|p| !p.starts_with("--"));
+        path.cloned().unwrap_or_else(|| {
+            eprintln!("error: --json needs a path");
+            std::process::exit(1)
+        })
+    });
+    move |doc| {
+        let text = doc.render_pretty();
+        match path {
+            Some(path) => {
+                std::fs::write(&path, text).expect("write JSON summary");
+                println!("wrote {path}");
+            }
+            None => print!("{text}"),
+        }
+    }
+}
 
 /// Dilutes a loop's simulated speedup by its loop weight (Table 2's
 /// LOOP WGT column), Amdahl-style.

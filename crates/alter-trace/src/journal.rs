@@ -4,7 +4,7 @@
 //! prefixed with a single header line carrying everything needed to
 //! re-execute it — workload name, annotation, worker count, the recording
 //! flags, and the trace hash of the recorded stream. The header is the
-//! same hand-rolled canonical JSON as the event lines, so a journal file
+//! same canonical single-line JSON as the event lines, so a journal file
 //! is still plain JSONL and still fully offline.
 //!
 //! [`Journal::from_jsonl`] is a *validating* reader: it rejects journals
@@ -20,7 +20,8 @@
 
 use crate::event::Event;
 use crate::hash::{trace_hash, TraceHasher};
-use crate::jsonl::{escape_into, event_json, parse_object, Fields, ParseTraceError};
+use crate::json::escape_into;
+use crate::jsonl::{event_json, parse_event_line, parse_line, ParseTraceError};
 use std::fmt::Write as _;
 
 /// Magic tag identifying a journal header line.
@@ -83,49 +84,44 @@ impl JournalHeader {
     }
 
     fn parse(line: &str) -> Result<JournalHeader, String> {
-        let f = Fields {
-            fields: parse_object(line)?,
-        };
+        let f = parse_line(line)?;
         let magic = f
-            .string("journal")
+            .str_field("journal")
             .map_err(|_| "missing journal header line".to_owned())?;
         if magic != JOURNAL_MAGIC {
             return Err(format!("bad journal magic `{magic}`"));
         }
-        let version = f.int("version")?;
+        let version = f.u64_field("version")?;
         if version != JOURNAL_VERSION {
             return Err(format!(
                 "unsupported journal version {version} (expected {JOURNAL_VERSION})"
             ));
         }
         let flag = |key: &str| -> Result<bool, String> {
-            match f.int(key)? {
+            match f.u64_field(key)? {
                 0 => Ok(false),
                 1 => Ok(true),
                 n => Err(format!("field `{key}` must be 0 or 1, got {n}")),
             }
         };
+        // Fields later versions of the header added: absent in older
+        // journals, which read back as `default`.
+        let added = |key: &str, default: u32| match f.get(key) {
+            None => Ok(default),
+            Some(_) => f.u32_field(key),
+        };
         Ok(JournalHeader {
-            workload: f.string("workload")?,
-            annotation: f.string("annotation")?,
-            workers: f.int32("workers")?,
+            workload: f.str_field("workload")?.to_owned(),
+            annotation: f.str_field("annotation")?.to_owned(),
+            workers: f.u32_field("workers")?,
             record_sets: flag("record_sets")?,
             profile_phases: flag("profile")?,
-            // Pre-pipeline journals have no `pipeline` field; default to
-            // the lock-step driver so old recordings stay readable.
-            pipeline_depth: match f.int32("pipeline") {
-                Ok(n) => n,
-                Err(msg) if msg.starts_with("missing field") => 0,
-                Err(msg) => return Err(msg),
-            },
+            // Pre-pipeline journals have no `pipeline` field.
+            pipeline_depth: added("pipeline", 0)?,
             // Pre-sharding journals have no `shards` field; default to the
             // single-shard heap so old recordings stay readable.
-            shards: match f.int32("shards") {
-                Ok(n) => n,
-                Err(msg) if msg.starts_with("missing field") => 1,
-                Err(msg) => return Err(msg),
-            },
-            trace_hash: f.int("hash")?,
+            shards: added("shards", 1)?,
+            trace_hash: f.u64_field("hash")?,
         })
     }
 }
@@ -193,11 +189,9 @@ impl Journal {
             if line.is_empty() {
                 continue;
             }
-            let at = |msg: String| ParseTraceError { line: idx + 1, msg };
-            let f = Fields {
-                fields: parse_object(line).map_err(at)?,
-            };
-            events.push(crate::jsonl::parse_event_fields(&f).map_err(at)?);
+            events.push(
+                parse_event_line(line).map_err(|msg| ParseTraceError { line: idx + 1, msg })?,
+            );
             event_lines.push(idx + 1);
         }
         let rounds = index_rounds(&events).map_err(|(pos, msg)| ParseTraceError {

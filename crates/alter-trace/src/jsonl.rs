@@ -1,14 +1,17 @@
 //! JSONL export and import: one canonical JSON object per event, one
 //! event per line.
 //!
-//! The encoding is hand-rolled (no external deps) and *canonical*: field
-//! order is fixed per event type and every payload is an integer or a
-//! string, so byte-identical traces ⇔ identical event streams. The trace
-//! hash is computed over exactly these bytes (see [`crate::hash`]).
-//! [`from_jsonl`] inverts [`to_jsonl`], which is what lets the
-//! `alter-lint` sanitizer replay a recorded trace offline.
+//! The encoding is *canonical*: field order is fixed per event type and
+//! every payload is an integer or a string, so byte-identical traces ⇔
+//! identical event streams. The trace hash is computed over exactly these
+//! bytes (see [`crate::hash`]), so [`event_json`] writes each field
+//! directly, escaping strings with [`crate::json`]'s escaper.
+//! [`from_jsonl`] inverts [`to_jsonl`] through the strict [`json::parse`],
+//! which is what lets the `alter-lint` sanitizer replay a recorded trace
+//! offline.
 
 use crate::event::{ConflictKind, Event, Phase};
+use crate::json::{self, escape_into, Json};
 use alter_heap::{AccessSet, ObjId};
 use std::fmt::Write as _;
 
@@ -51,23 +54,6 @@ pub fn parse_set(s: &str) -> Result<Vec<(ObjId, u32, u32)>, String> {
         out.push((ObjId::from_index(obj), lo, hi));
     }
     Ok(out)
-}
-
-/// Escapes `s` as JSON string contents (without the surrounding quotes).
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 /// Renders one event as a single-line canonical JSON object.
@@ -218,125 +204,6 @@ impl std::fmt::Display for ParseTraceError {
 
 impl std::error::Error for ParseTraceError {}
 
-/// One parsed JSON scalar: canonical traces only contain unsigned integers
-/// and strings.
-pub(crate) enum Val {
-    Int(u64),
-    Str(String),
-}
-
-/// Parses one canonical single-line JSON object into (key, value) pairs.
-pub(crate) fn parse_object(line: &str) -> Result<Vec<(String, Val)>, String> {
-    let mut chars = line.chars().peekable();
-    let mut fields = Vec::new();
-    if chars.next() != Some('{') {
-        return Err("expected `{`".into());
-    }
-    loop {
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some('"') => {}
-            _ => return Err("expected `\"` or `}`".into()),
-        }
-        let key = parse_string(&mut chars)?;
-        if chars.next() != Some(':') {
-            return Err(format!("expected `:` after key `{key}`"));
-        }
-        let val = match chars.peek() {
-            Some('"') => Val::Str(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut n: u64 = 0;
-                while let Some(c) = chars.peek() {
-                    match c.to_digit(10) {
-                        Some(d) => {
-                            n = n
-                                .checked_mul(10)
-                                .and_then(|n| n.checked_add(d as u64))
-                                .ok_or_else(|| format!("integer overflow in `{key}`"))?;
-                            chars.next();
-                        }
-                        None => break,
-                    }
-                }
-                Val::Int(n)
-            }
-            _ => return Err(format!("unsupported value for `{key}`")),
-        };
-        fields.push((key, val));
-        match chars.next() {
-            Some(',') => {}
-            Some('}') => break,
-            _ => return Err("expected `,` or `}`".into()),
-        }
-    }
-    if chars.next().is_some() {
-        return Err("trailing characters after `}`".into());
-    }
-    Ok(fields)
-}
-
-/// Parses a JSON string literal (cursor on the opening quote), undoing
-/// [`escape_into`].
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected `\"`".into());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            None => return Err("unterminated string".into()),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let d = chars
-                            .next()
-                            .and_then(|c| c.to_digit(16))
-                            .ok_or("bad \\u escape")?;
-                        code = code * 16 + d;
-                    }
-                    out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                }
-                _ => return Err("unknown escape".into()),
-            },
-            Some(c) => out.push(c),
-        }
-    }
-}
-
-pub(crate) struct Fields {
-    pub(crate) fields: Vec<(String, Val)>,
-}
-
-impl Fields {
-    pub(crate) fn int(&self, key: &str) -> Result<u64, String> {
-        match self.fields.iter().find(|(k, _)| k == key) {
-            Some((_, Val::Int(n))) => Ok(*n),
-            Some(_) => Err(format!("field `{key}` is not an integer")),
-            None => Err(format!("missing field `{key}`")),
-        }
-    }
-    pub(crate) fn int32(&self, key: &str) -> Result<u32, String> {
-        u32::try_from(self.int(key)?).map_err(|_| format!("field `{key}` exceeds u32"))
-    }
-    pub(crate) fn string(&self, key: &str) -> Result<String, String> {
-        match self.fields.iter().find(|(k, _)| k == key) {
-            Some((_, Val::Str(s))) => Ok(s.clone()),
-            Some(_) => Err(format!("field `{key}` is not a string")),
-            None => Err(format!("missing field `{key}`")),
-        }
-    }
-}
-
 /// Parses a canonical JSONL trace back into events — the inverse of
 /// [`to_jsonl`]. Unknown event kinds and malformed lines are errors (the
 /// sanitizer must not silently skip evidence); blank lines are ignored.
@@ -346,64 +213,66 @@ pub fn from_jsonl(text: &str) -> Result<Vec<Event>, ParseTraceError> {
         if line.is_empty() {
             continue;
         }
-        let at = |msg: String| ParseTraceError { line: idx + 1, msg };
-        let f = Fields {
-            fields: parse_object(line).map_err(at)?,
-        };
-        let ev = parse_event_fields(&f).map_err(at)?;
-        events.push(ev);
+        events.push(parse_event_line(line).map_err(|msg| ParseTraceError { line: idx + 1, msg })?);
     }
     Ok(events)
 }
 
-pub(crate) fn parse_event_fields(f: &Fields) -> Result<Event, String> {
-    let kind = f.string("ev")?;
-    Ok(match kind.as_str() {
+/// Parses one line as a JSON value, reporting the column of a syntax
+/// error (the caller knows the line).
+pub(crate) fn parse_line(line: &str) -> Result<Json, String> {
+    json::parse(line).map_err(|e| format!("column {}: {}", e.column, e.msg))
+}
+
+/// Parses one event line.
+pub(crate) fn parse_event_line(line: &str) -> Result<Event, String> {
+    let f = parse_line(line)?;
+    Ok(match f.str_field("ev")? {
         "round_start" => Event::RoundStart {
-            round: f.int("round")?,
-            tasks: f.int32("tasks")?,
-            snapshot_slots: f.int("snapshot_slots")?,
+            round: f.u64_field("round")?,
+            tasks: f.u32_field("tasks")?,
+            snapshot_slots: f.u64_field("snapshot_slots")?,
         },
         "task_start" => Event::TaskStart {
-            seq: f.int("seq")?,
-            worker: f.int32("worker")?,
-            iters: f.int32("iters")?,
+            seq: f.u64_field("seq")?,
+            worker: f.u32_field("worker")?,
+            iters: f.u32_field("iters")?,
         },
         "task_sets" => Event::TaskSets {
-            seq: f.int("seq")?,
-            reads: f.string("reads")?,
-            writes: f.string("writes")?,
+            seq: f.u64_field("seq")?,
+            reads: f.str_field("reads")?.to_owned(),
+            writes: f.str_field("writes")?.to_owned(),
         },
         "validate_ok" => Event::ValidateOk {
-            seq: f.int("seq")?,
-            validate_words: f.int("validate_words")?,
+            seq: f.u64_field("seq")?,
+            validate_words: f.u64_field("validate_words")?,
         },
         "validate_conflict" => Event::ValidateConflict {
-            seq: f.int("seq")?,
-            kind: match f.string("kind")?.as_str() {
+            seq: f.u64_field("seq")?,
+            kind: match f.str_field("kind")? {
                 "RAW" => ConflictKind::Raw,
                 "WAW" => ConflictKind::Waw,
                 other => return Err(format!("unknown conflict kind `{other}`")),
             },
-            obj: ObjId::from_index(f.int32("obj")?),
-            word: f.int32("word")?,
-            winner_seq: f.int("winner_seq")?,
+            obj: ObjId::from_index(f.u32_field("obj")?),
+            word: f.u32_field("word")?,
+            winner_seq: f.u64_field("winner_seq")?,
         },
         "commit" => Event::Commit {
-            seq: f.int("seq")?,
-            read_words: f.int("read_words")?,
-            write_words: f.int("write_words")?,
-            allocs: f.int32("allocs")?,
-            frees: f.int32("frees")?,
+            seq: f.u64_field("seq")?,
+            read_words: f.u64_field("read_words")?,
+            write_words: f.u64_field("write_words")?,
+            allocs: f.u32_field("allocs")?,
+            frees: f.u32_field("frees")?,
         },
         "squash" => Event::Squash {
-            seq: f.int("seq")?,
-            by_seq: f.int("by_seq")?,
+            seq: f.u64_field("seq")?,
+            by_seq: f.u64_field("by_seq")?,
         },
         "reduction_merge" => Event::ReductionMerge {
-            seq: f.int("seq")?,
-            var: f.int32("var")?,
-            op: match f.string("op")?.as_str() {
+            seq: f.u64_field("seq")?,
+            var: f.u32_field("var")?,
+            op: match f.str_field("op")? {
                 "+" => "+",
                 "*" => "*",
                 "max" => "max",
@@ -414,48 +283,48 @@ pub(crate) fn parse_event_fields(f: &Fields) -> Result<Event, String> {
             },
         },
         "oom" => Event::Oom {
-            words: f.int("words")?,
-            budget: f.int("budget")?,
+            words: f.u64_field("words")?,
+            budget: f.u64_field("budget")?,
         },
         "crash" => Event::Crash {
-            message: f.string("message")?,
+            message: f.str_field("message")?.to_owned(),
         },
         "work_budget_exceeded" => Event::WorkBudgetExceeded {
-            spent: f.int("spent")?,
-            budget: f.int("budget")?,
+            spent: f.u64_field("spent")?,
+            budget: f.u64_field("budget")?,
         },
         "phase_profile" => Event::PhaseProfile {
-            round: f.int("round")?,
+            round: f.u64_field("round")?,
             phase: {
-                let s = f.string("phase")?;
-                Phase::parse(&s).ok_or_else(|| format!("unknown phase `{s}`"))?
+                let s = f.str_field("phase")?;
+                Phase::parse(s).ok_or_else(|| format!("unknown phase `{s}`"))?
             },
-            cost: f.int("cost")?,
+            cost: f.u64_field("cost")?,
         },
         "ticket_issued" => Event::TicketIssued {
-            seq: f.int("seq")?,
-            epoch: f.int("epoch")?,
-            iters: f.int32("iters")?,
+            seq: f.u64_field("seq")?,
+            epoch: f.u64_field("epoch")?,
+            iters: f.u32_field("iters")?,
         },
         "ticket_validated" => Event::TicketValidated {
-            seq: f.int("seq")?,
-            epoch: f.int("epoch")?,
+            seq: f.u64_field("seq")?,
+            epoch: f.u64_field("epoch")?,
         },
         "ticket_requeued" => Event::TicketRequeued {
-            seq: f.int("seq")?,
-            epoch: f.int("epoch")?,
+            seq: f.u64_field("seq")?,
+            epoch: f.u64_field("epoch")?,
         },
         "probe_start" => Event::ProbeStart {
-            annotation: f.string("annotation")?,
+            annotation: f.str_field("annotation")?.to_owned(),
         },
         "probe_outcome" => Event::ProbeOutcome {
-            annotation: f.string("annotation")?,
-            outcome: f.string("outcome")?,
+            annotation: f.str_field("annotation")?.to_owned(),
+            outcome: f.str_field("outcome")?.to_owned(),
         },
         "run_end" => Event::RunEnd {
-            rounds: f.int("rounds")?,
-            attempts: f.int("attempts")?,
-            committed: f.int("committed")?,
+            rounds: f.u64_field("rounds")?,
+            attempts: f.u64_field("attempts")?,
+            committed: f.u64_field("committed")?,
         },
         other => return Err(format!("unknown event kind `{other}`")),
     })
@@ -600,6 +469,23 @@ mod tests {
         let err = from_jsonl("{\"ev\":\"run_end\",\"rounds\":1}\n").unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.msg.contains("attempts"), "{err}");
+    }
+
+    #[test]
+    fn from_jsonl_rejects_non_canonical_integers() {
+        let line = |rounds: &str| {
+            format!("{{\"ev\":\"run_end\",\"rounds\":{rounds},\"attempts\":2,\"committed\":2}}\n")
+        };
+        assert!(from_jsonl(&line("1")).is_ok());
+        for bad in ["01", "-1", "1.5", "1e3", "18446744073709551616"] {
+            let err = from_jsonl(&line(bad)).expect_err(bad);
+            assert_eq!(err.line, 1);
+            if bad != "01" {
+                assert!(err.msg.contains("`rounds`"), "{bad}: {err}");
+            }
+        }
+        let err = from_jsonl(&line("18446744073709551616")).unwrap_err();
+        assert!(err.msg.contains("overflow"), "{err}");
     }
 
     #[test]

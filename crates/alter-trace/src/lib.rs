@@ -36,6 +36,7 @@
 pub mod event;
 pub mod hash;
 pub mod journal;
+pub mod json;
 pub mod jsonl;
 pub mod metrics;
 pub mod profile;
@@ -45,6 +46,7 @@ pub mod render;
 pub use event::{ConflictKind, Event, Phase};
 pub use hash::{format_hash, trace_hash, TraceHasher};
 pub use journal::{Journal, JournalHeader, JOURNAL_MAGIC, JOURNAL_VERSION};
+pub use json::Json;
 pub use jsonl::{event_json, from_jsonl, parse_set, render_set, to_jsonl, ParseTraceError};
 pub use metrics::{Histogram, Metrics, HISTOGRAM_BUCKETS};
 pub use profile::{Profile, WallProfile, PHASE_COUNT};

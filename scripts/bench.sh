@@ -2,7 +2,10 @@
 # Runtime micro-benchmarks: the primitive-cost benchmarks plus the
 # deterministic benches (validation, round overhead, phase profiler,
 # committer stall, sharding, model checker, static analyzer), which
-# together regenerate BENCH_runtime.json at the repo root. Everything in the JSON is a deterministic counter (cost units,
+# together regenerate BENCH_runtime.json at the repo root. Each bench
+# renders its summary with alter_trace::json's committed-file layout; this
+# script splices the seven summaries into one object and re-parses the
+# result. Everything in the JSON is a deterministic counter (cost units,
 # validate words, exact-scan words, snapshot slots copied, trace hashes) —
 # no wall-clock — so the file is stable across machines and is checked in;
 # a diff after running this script means the runtime's work profile

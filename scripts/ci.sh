@@ -37,8 +37,8 @@ echo "== alter-lint (isolation sanitizer over all 12 canonical traces) =="
 # violation is a hard failure), and regenerates the static analyzer's
 # verdict baseline for the drift check below.
 cargo run --release -q -p alter-bench --bin alter-lint -- --analysis ANALYSIS.json
-# The baseline writer hand-rolls its JSON, so re-parse it with the strict
-# grammar before the drift check consumes it.
+# Re-parse the regenerated baseline with the strict grammar of
+# alter_trace::json before the drift check consumes it.
 cargo run --release -q -p alter-bench --bin alter-check-json -- ANALYSIS.json
 drift_check ANALYSIS.json "the analyzer's dependence/annotation verdicts"
 
@@ -85,8 +85,8 @@ cargo run --release -q -p alter-bench --bin alter-check -- \
   check k-means best --max-schedules 1024
 cargo run --release -q -p alter-bench --bin alter-check -- \
   check all best --json CHECK.json > /dev/null
-# The check writer hand-rolls its JSON, so re-parse it with the strict
-# grammar before the drift check consumes it.
+# Re-parse the regenerated baseline with the strict grammar of
+# alter_trace::json before the drift check consumes it.
 cargo run --release -q -p alter-bench --bin alter-check-json -- CHECK.json
 drift_check CHECK.json "the schedule-space exploration counts or a soundness verdict"
 # The checker must also fail when it should: k-means under DOALL is
@@ -109,8 +109,8 @@ echo "== phase-profile baseline (PROFILE.json drift check) =="
 # wall-clock) and fails on any drift from the committed file.
 cargo run --release -q -p alter-bench --bin alter-replay -- \
   profile all --json PROFILE.json > /dev/null
-# The profile writer hand-rolls its JSON, so re-parse the regenerated file
-# with the strict grammar before the drift check consumes it.
+# Re-parse the regenerated baseline with the strict grammar of
+# alter_trace::json before the drift check consumes it.
 cargo run --release -q -p alter-bench --bin alter-check-json -- PROFILE.json
 drift_check PROFILE.json "the deterministic per-phase cost profile"
 
