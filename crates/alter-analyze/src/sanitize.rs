@@ -372,15 +372,7 @@ pub fn sanitize(events: &[Event], cfg: &SanitizeConfig) -> Vec<Violation> {
             }
             // Phase-profile entries land after a round's verdicts and carry
             // no isolation evidence; probe brackets are outside rounds.
-            // Ticket lifecycle events mirror the task events the sanitizer
-            // already checks (issue ↔ task_start, validate ↔ commit,
-            // requeue ↔ conflict/squash) and carry no access sets.
-            Event::PhaseProfile { .. }
-            | Event::TicketIssued { .. }
-            | Event::TicketValidated { .. }
-            | Event::TicketRequeued { .. }
-            | Event::ProbeStart { .. }
-            | Event::ProbeOutcome { .. } => {}
+            Event::PhaseProfile { .. } | Event::ProbeStart { .. } | Event::ProbeOutcome { .. } => {}
             Event::RunEnd {
                 rounds,
                 attempts,

@@ -10,10 +10,15 @@
 //! must be bit-identical with no recorder and with a `NopRecorder`
 //! attached, making the recorder's zero-overhead contract checkable
 //! without timing noise.
+//!
+//! Last comes a Table-3-shaped wall-clock speedup table: genome, k-means
+//! and labyrinth at paper scale, threaded runs at 1/2/4/8 workers over a
+//! 16-shard heap, best of 3. Informational only, like every number here.
 
 use alter_heap::{AccessSet, Heap, IdReservation, ObjData, TrackMode, Tx};
 use alter_runtime::{run_loop, ConflictPolicy, Driver, ExecParams, RedVars};
 use alter_trace::NopRecorder;
+use alter_workloads::{genome::Genome, kmeans::KMeans, labyrinth::Labyrinth, Benchmark, Scale};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -122,6 +127,65 @@ fn bench_doall_loop() {
     bench("doall_loop_4k_iters_nop_rec", 50, || doall_run(&nop));
 }
 
+/// Heap shard count of the wall-clock scaling runs.
+const SHARDS_HI: usize = 16;
+
+/// Best-of-3 wall time of one recorder-free threaded probe run, in
+/// milliseconds, at `workers` workers and `SHARDS_HI` heap shards.
+fn time_threaded(bench: &dyn Benchmark, workers: usize) -> f64 {
+    let mut probe = bench.best_probe(workers);
+    probe.threaded = true;
+    probe.shards = SHARDS_HI;
+    black_box(bench.run_probe(&probe).expect("warm-up must complete"));
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let start = Instant::now();
+        black_box(bench.run_probe(&probe).expect("probe must complete"));
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+    }
+    best
+}
+
+/// A Table-3-shaped speedup table over real threads at the paper-scale
+/// inputs (the bold column of Table 2; the inference-scale inputs used
+/// everywhere else finish in single-digit milliseconds, where thread
+/// coordination dwarfs the loop body). Purely informational — nothing here
+/// is asserted or written to JSON, because wall-clock is machine noise by
+/// definition.
+fn wall_scaling_table() {
+    const COUNTS: [usize; 4] = [1, 2, 4, 8];
+    let benches: [Box<dyn Benchmark>; 3] = [
+        Box::new(Genome::new(Scale::Paper)),
+        Box::new(KMeans::new(Scale::Paper)),
+        Box::new(Labyrinth::new(Scale::Paper)),
+    ];
+    println!(
+        "wall-clock scaling, paper-scale threaded runs at {SHARDS_HI} heap shards \
+         (best of 3, informational):"
+    );
+    println!(
+        "  {:<12} {:>9} {:>17} {:>17} {:>17}",
+        "Benchmark", "1w (ms)", "2w", "4w", "8w"
+    );
+    for bench in &benches {
+        let ms: Vec<f64> = COUNTS
+            .iter()
+            .map(|&w| time_threaded(bench.as_ref(), w))
+            .collect();
+        println!(
+            "  {:<12} {:>9.1} {:>10.1} ({:>4.2}x) {:>10.1} ({:>4.2}x) {:>10.1} ({:>4.2}x)",
+            bench.name(),
+            ms[0],
+            ms[1],
+            ms[0] / ms[1].max(1e-9),
+            ms[2],
+            ms[0] / ms[2].max(1e-9),
+            ms[3],
+            ms[0] / ms[3].max(1e-9),
+        );
+    }
+}
+
 fn main() {
     // `cargo test` runs bench targets with `--test`; there is nothing to
     // test here, so just exit quickly.
@@ -132,4 +196,5 @@ fn main() {
     bench_instrumented_access();
     bench_conflict_validation();
     bench_doall_loop();
+    wall_scaling_table();
 }

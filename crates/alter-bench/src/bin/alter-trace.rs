@@ -47,9 +47,6 @@ flags:
                capped at 16 — the banner prints the normalized count;
                identical traces at every count, only the out-of-band
                shard counters move)
-  --tickets    emit ticket-lifecycle events (ticket_issued /
-               ticket_validated / ticket_requeued) into the trace; off by
-               default so hashes match previous releases
   --deps       print the workload's dependence summary (per-location
                edges with iteration distances) and its Table 3 Dep cell
                instead of running a probe; with no workload, print the
@@ -224,7 +221,6 @@ fn main() -> ExitCode {
     let mut profile = false;
     let mut threaded = false;
     let mut shards = 1usize;
-    let mut tickets = false;
     let mut deps = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -246,7 +242,6 @@ fn main() -> ExitCode {
             "--twice" => twice = true,
             "--profile" => profile = true,
             "--threaded" => threaded = true,
-            "--tickets" => tickets = true,
             "--deps" => deps = true,
             _ if a.starts_with("--") => {
                 eprintln!("error: unknown flag {a}\n{USAGE}");
@@ -293,7 +288,6 @@ fn main() -> ExitCode {
     }
     probe.threaded = threaded;
     probe.shards = shards;
-    probe.trace_tickets = tickets;
     probe.profile_phases = profile;
     let wall = (profile && std::env::var("ALTER_PROFILE_WALL").is_ok_and(|v| v == "1"))
         .then(|| Arc::new(WallProfile::new()));
@@ -307,9 +301,6 @@ fn main() -> ExitCode {
     if shards > 1 {
         shard_note = format!("sharded heap, {shards} shard(s)");
         notes.push(&shard_note);
-    }
-    if tickets {
-        notes.push("ticket events");
     }
     println!(
         "{} under [{}], {} worker(s), chunk {}{}",

@@ -31,8 +31,8 @@ pub const WORKER_SWEEP: [usize; 5] = [1, 2, 4, 6, 8];
 
 /// The output step of a deterministic bench. Reads `--json <path>` from
 /// the command line now, exiting 1 when the path is missing, and returns
-/// the step: it writes the summary to that path, or prints it when the
-/// flag is absent. A following flag is not a path: `cargo bench` appends
+/// the step: it writes the summary to that path, exiting 1 when the write
+/// fails, or prints it when the flag is absent. A following flag is not a path: `cargo bench` appends
 /// `--bench` to the bench's arguments.
 pub fn json_output() -> impl FnOnce(&Json) {
     let args: Vec<String> = std::env::args().collect();
@@ -47,7 +47,10 @@ pub fn json_output() -> impl FnOnce(&Json) {
         let text = doc.render_pretty();
         match path {
             Some(path) => {
-                std::fs::write(&path, text).expect("write JSON summary");
+                if let Err(e) = std::fs::write(&path, text) {
+                    eprintln!("error: {path}: {e}");
+                    std::process::exit(1);
+                }
                 println!("wrote {path}");
             }
             None => print!("{text}"),

@@ -162,10 +162,6 @@ pub struct Heap {
     /// Whether the shards' `snap_pages` reflect some past snapshot (false
     /// until the first incremental snapshot, which does a full build).
     snap_valid: bool,
-    /// Monotonic snapshot epoch: bumped once per round snapshot. The engine
-    /// stamps every ticket with the epoch it executes against; a re-queued
-    /// ticket gets the next (fresh) epoch.
-    epoch: u64,
 }
 
 impl Default for Heap {
@@ -177,7 +173,6 @@ impl Default for Heap {
             version: 0,
             free: Vec::new(),
             snap_valid: false,
-            epoch: 0,
         }
     }
 }
@@ -225,9 +220,8 @@ impl Heap {
     /// write fingerprints reset, and the snapshot cache is dropped so the next
     /// incremental snapshot does a full build — exactly the cost a fresh
     /// heap's first snapshot pays, so snapshot accounting stays comparable
-    /// across shard counts. The committed state, versions, free list and
-    /// epoch are untouched; digests and snapshots are identical before and
-    /// after.
+    /// across shard counts. The committed state, versions and free list
+    /// are untouched; digests and snapshots are identical before and after.
     pub fn set_shards(&mut self, shards: usize) {
         let n = normalize_shards(shards);
         if n == self.shards.len() {
@@ -388,8 +382,7 @@ impl Heap {
     /// all N copy-on-write mappings at the start of a lock-step round. The
     /// engine's rounds use [`Heap::snapshot_incremental`] instead; this
     /// entry point serves one-shot snapshots (dependence detection) and is
-    /// the reference the incremental path is tested against. It leaves the
-    /// snapshot epoch alone.
+    /// the reference the incremental path is tested against.
     pub fn snapshot(&self) -> Snapshot {
         let npages = self.page_count();
         Snapshot {
@@ -403,14 +396,6 @@ impl Heap {
             len: self.len,
             version: self.version,
         }
-    }
-
-    /// The current snapshot epoch: how many round snapshots this heap has
-    /// issued. Monotonic across engine runs on the same heap (convergence
-    /// loops drive the engine repeatedly), so an epoch names one snapshot
-    /// globally, not just within a run.
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Takes a snapshot bit-identical to [`Heap::snapshot`]'s by patching
@@ -427,7 +412,6 @@ impl Heap {
     /// partition — and both [`SnapshotStats`] counters — is identical
     /// whatever the shard count.
     pub fn snapshot_incremental(&mut self) -> (Snapshot, SnapshotStats) {
-        self.epoch += 1;
         let mut stats = SnapshotStats::default();
         let npages = self.page_count();
         let nshards = self.shards.len();
@@ -955,25 +939,6 @@ mod tests {
         let (s, st) = h.snapshot_incremental();
         assert_eq!(st.slots_copied, 1);
         assert_eq!(s.get(a).unwrap().i64s()[0], 1);
-    }
-
-    #[test]
-    fn snapshot_epoch_is_monotonic_across_round_snapshots() {
-        let mut h = Heap::new();
-        let _ = h.alloc(ObjData::scalar_i64(1));
-        assert_eq!(h.snapshot_epoch(), 0);
-        // Every round snapshot advances the epoch…
-        let _ = h.snapshot_incremental();
-        assert_eq!(h.snapshot_epoch(), 1);
-        let _ = h.snapshot_incremental();
-        assert_eq!(h.snapshot_epoch(), 2);
-        // …a plain one-shot snapshot does not, and neither does dropping
-        // the incremental cache (epochs stay monotonic forever).
-        let _ = h.snapshot();
-        h.reset_snapshot_cache();
-        assert_eq!(h.snapshot_epoch(), 2);
-        let _ = h.snapshot_incremental();
-        assert_eq!(h.snapshot_epoch(), 3);
     }
 
     /// Builds a heap with objects spread over several pages, through every

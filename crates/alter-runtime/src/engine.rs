@@ -190,8 +190,8 @@ pub struct RunStats {
     /// telemetry: the determinism contract covers outputs and traces, not
     /// scheduling telemetry.
     pub tickets_issued: u64,
-    /// Re-queue occurrences: tickets sent back to the sequencer with a
-    /// fresh snapshot epoch after failing validation or being squashed by
+    /// Re-queue occurrences: tickets sent back to the sequencer for the
+    /// next round's snapshot after failing validation or being squashed by
     /// an earlier in-order failure. Scheduling telemetry, masked by
     /// [`RunStats::modulo_drive_mode`].
     pub tickets_requeued: u64,
@@ -381,9 +381,6 @@ struct Ticket {
     /// Program-order chunk sequence number — assigned once at issue time
     /// and kept across re-queues (validation order is `seq` order).
     seq: u64,
-    /// Snapshot epoch the ticket executes against, re-stamped each round:
-    /// a re-queued ticket always re-executes against a fresh epoch.
-    epoch: u64,
     /// Iterations in the chunk.
     iters: Vec<u64>,
 }
@@ -401,9 +398,7 @@ struct Sequencer {
 impl Sequencer {
     /// Assembles the next round: re-queued tickets first (already in
     /// ascending `seq` order), then fresh chunks up to the worker count.
-    /// Returns the round's tickets plus how many were freshly issued;
-    /// snapshot epochs are stamped by the caller once the round snapshot
-    /// exists.
+    /// Returns the round's tickets plus how many were freshly issued.
     fn next_round(
         &mut self,
         space: &mut dyn IterSpace,
@@ -419,7 +414,6 @@ impl Sequencer {
             }
             tickets.push(Ticket {
                 seq: self.next_seq,
-                epoch: 0,
                 iters,
             });
             self.next_seq += 1;
@@ -429,7 +423,7 @@ impl Sequencer {
     }
 
     /// Hands a failed ticket back for the next round, where it will execute
-    /// against a fresh snapshot epoch.
+    /// against that round's fresh snapshot.
     fn requeue(&mut self, ticket: Ticket) {
         self.retry.push_back(ticket);
     }
@@ -825,7 +819,7 @@ fn run_rounds(
         // Assemble the round from the sequencer: re-queued tickets first
         // (lowest seq first — they are already in order), then fresh
         // chunks.
-        let (mut tickets, fresh) = sequencer.next_round(space, params.workers, params.chunk);
+        let (tickets, fresh) = sequencer.next_round(space, params.workers, params.chunk);
         if tickets.is_empty() {
             break;
         }
@@ -841,14 +835,6 @@ fn run_rounds(
         }
         stats.snapshot_slots_copied += snap_stats.slots_copied;
         stats.snapshot_pages_reused += snap_stats.pages_reused;
-        // The snapshot bumped the heap's monotonic snapshot epoch; stamp it
-        // onto the round's tickets. A re-queued ticket is
-        // re-stamped here — it re-executes against the fresh epoch its
-        // `TicketRequeued` event promised.
-        let epoch = heap.snapshot_epoch();
-        for t in &mut tickets {
-            t.epoch = epoch;
-        }
         // Phase ledger for this round. Snapshot cost is the trace's
         // `snapshot_slots` figure (one charge per slot in the round's view,
         // what a full rebuild would copy), deliberately not `slots_copied`.
@@ -869,13 +855,6 @@ fn run_rounds(
                     worker: worker as u32,
                     iters: task.iters.len() as u32,
                 });
-                if params.trace_tickets {
-                    rec.record(Event::TicketIssued {
-                        seq: task.seq,
-                        epoch: task.epoch,
-                        iters: task.iters.len() as u32,
-                    });
-                }
             }
         }
         let bufs: Vec<TxBuffers> = tickets.iter().map(|_| pool.acquire()).collect();
@@ -1092,14 +1071,6 @@ fn run_rounds(
                                 by_seq: squashed_by,
                             });
                         }
-                        if params.trace_tickets {
-                            // The re-queue executes against the next round's
-                            // snapshot — announce the fresh epoch it will get.
-                            rec.record(Event::TicketRequeued {
-                                seq: task.seq,
-                                epoch: task.epoch + 1,
-                            });
-                        }
                     }
                     if conflict.is_some() && params.order == CommitOrder::InOrder {
                         squash = true;
@@ -1130,12 +1101,6 @@ fn run_rounds(
                             allocs: effects.allocs.len() as u32,
                             frees: effects.frees.len() as u32,
                         });
-                        if params.trace_tickets {
-                            rec.record(Event::TicketValidated {
-                                seq: task.seq,
-                                epoch: task.epoch,
-                            });
-                        }
                     }
                     // A type-mismatched reduction (e.g. a boolean operator on a
                     // float variable) is an invalid annotation; report it as a

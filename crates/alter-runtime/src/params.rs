@@ -129,13 +129,6 @@ pub struct ExecParams {
     /// time is nondeterministic), so it never affects traces or hashes; the
     /// CLIs attach one under `ALTER_PROFILE_WALL=1`.
     pub wall_profile: Option<Arc<alter_trace::WallProfile>>,
-    /// Emit `TicketIssued`/`TicketValidated`/`TicketRequeued` lifecycle
-    /// events into the trace. Off by default so existing canonical traces
-    /// and their hashes are unchanged; when on, both drivers emit the
-    /// identical ticket lifecycle at the identical points, so the events
-    /// never break cross-driver trace identity. No effect without a
-    /// recorder.
-    pub trace_tickets: bool,
     /// Number of heap shards; the engine partitions the heap into
     /// [`alter_heap::normalize_shards`]`(shards)`. `1` — the default — is bit-for-bit
     /// the unsharded heap. At `> 1` the heap partitions its slot table by
@@ -163,7 +156,6 @@ impl std::fmt::Debug for ExecParams {
             .field("record_sets", &self.record_sets)
             .field("profile_phases", &self.profile_phases)
             .field("wall_profile", &self.wall_profile.is_some())
-            .field("trace_tickets", &self.trace_tickets)
             .field("shards", &self.shards)
             .finish()
     }
@@ -186,7 +178,6 @@ impl ExecParams {
             record_sets: false,
             profile_phases: false,
             wall_profile: None,
-            trace_tickets: false,
             shards: 1,
         }
     }
@@ -297,12 +288,6 @@ impl ExecParams {
     /// only; excluded from traces and hashes).
     pub fn with_wall_profile(mut self, wall: Arc<alter_trace::WallProfile>) -> Self {
         self.wall_profile = Some(wall);
-        self
-    }
-
-    /// Builder-style: emit ticket-lifecycle trace events (off by default).
-    pub fn with_trace_tickets(mut self, on: bool) -> Self {
-        self.trace_tickets = on;
         self
     }
 

@@ -174,10 +174,7 @@ fn event_seq(ev: &Event) -> Option<u64> {
         | Event::ValidateConflict { seq, .. }
         | Event::Commit { seq, .. }
         | Event::Squash { seq, .. }
-        | Event::ReductionMerge { seq, .. }
-        | Event::TicketIssued { seq, .. }
-        | Event::TicketValidated { seq, .. }
-        | Event::TicketRequeued { seq, .. } => Some(*seq),
+        | Event::ReductionMerge { seq, .. } => Some(*seq),
         _ => None,
     }
 }

@@ -140,12 +140,6 @@ pub fn event_json(ev: &Event) -> String {
                 phase.as_str()
             );
         }
-        Event::TicketIssued { seq, epoch, iters } => {
-            let _ = write!(s, ",\"seq\":{seq},\"epoch\":{epoch},\"iters\":{iters}");
-        }
-        Event::TicketValidated { seq, epoch } | Event::TicketRequeued { seq, epoch } => {
-            let _ = write!(s, ",\"seq\":{seq},\"epoch\":{epoch}");
-        }
         Event::ProbeStart { annotation } => {
             s.push_str(",\"annotation\":\"");
             escape_into(&mut s, annotation);
@@ -301,19 +295,6 @@ pub(crate) fn parse_event_line(line: &str) -> Result<Event, String> {
             },
             cost: f.u64_field("cost")?,
         },
-        "ticket_issued" => Event::TicketIssued {
-            seq: f.u64_field("seq")?,
-            epoch: f.u64_field("epoch")?,
-            iters: f.u32_field("iters")?,
-        },
-        "ticket_validated" => Event::TicketValidated {
-            seq: f.u64_field("seq")?,
-            epoch: f.u64_field("epoch")?,
-        },
-        "ticket_requeued" => Event::TicketRequeued {
-            seq: f.u64_field("seq")?,
-            epoch: f.u64_field("epoch")?,
-        },
         "probe_start" => Event::ProbeStart {
             annotation: f.str_field("annotation")?.to_owned(),
         },
@@ -421,13 +402,6 @@ mod tests {
                 phase: Phase::Validate,
                 cost: 128,
             },
-            Event::TicketIssued {
-                seq: 4,
-                epoch: 2,
-                iters: 8,
-            },
-            Event::TicketValidated { seq: 4, epoch: 2 },
-            Event::TicketRequeued { seq: 5, epoch: 3 },
             Event::ProbeStart {
                 annotation: "[StaleReads]".into(),
             },

@@ -236,14 +236,8 @@ impl Metrics {
             Event::Crash { .. } => self.crashes += 1,
             Event::WorkBudgetExceeded { .. } => self.work_budget_exceeded += 1,
             Event::ProbeStart { .. } => self.probes += 1,
-            // Ticket lifecycle events mirror TaskStart/verdict events the
-            // registry already counts; the pipeline counters proper arrive
-            // out-of-band via `record_pipeline_counters`.
             Event::TaskSets { .. }
             | Event::PhaseProfile { .. }
-            | Event::TicketIssued { .. }
-            | Event::TicketValidated { .. }
-            | Event::TicketRequeued { .. }
             | Event::ProbeOutcome { .. }
             | Event::RunEnd { .. } => {}
         }

@@ -118,27 +118,6 @@ pub fn render_timeline(events: &[Event]) -> String {
                     pad(in_round)
                 );
             }
-            Event::TicketIssued { seq, epoch, iters } => {
-                let _ = writeln!(
-                    out,
-                    "{}ticket {seq}: issued for snapshot epoch {epoch} ({iters} iter(s))",
-                    pad(in_round)
-                );
-            }
-            Event::TicketValidated { seq, epoch } => {
-                let _ = writeln!(
-                    out,
-                    "{}ticket {seq}: retired in order (epoch {epoch})",
-                    pad(in_round)
-                );
-            }
-            Event::TicketRequeued { seq, epoch } => {
-                let _ = writeln!(
-                    out,
-                    "{}ticket {seq}: RE-QUEUED with fresh snapshot epoch {epoch}",
-                    pad(in_round)
-                );
-            }
             Event::ProbeStart { annotation } => {
                 in_round = false;
                 let _ = writeln!(out, "probe: {annotation}");

@@ -16,13 +16,9 @@ fn committed_baselines_parse_and_keep_the_pretty_layout() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
         let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
         let doc = json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        // scripts/bench.sh splices BENCH_runtime.json from the per-bench
-        // summaries, so only its grammar is pinned here.
-        if name != "BENCH_runtime.json" {
-            assert!(
-                doc.render_pretty() == text,
-                "{name} is not in the render_pretty layout"
-            );
-        }
+        assert!(
+            doc.render_pretty() == text,
+            "{name} is not in the render_pretty layout"
+        );
     }
 }
